@@ -6,15 +6,16 @@
 //! every deterministic quantity — virtual clocks, migration and
 //! message counts, transfer bytes, digests — is a pure function of
 //! the workload and that logical topology. Shards (`0..shards`, each
-//! one OS host thread plus a compute permit) are merely where logical
-//! nodes execute: node `n` runs on shard `n % shards`. Changing the
-//! shard count changes wall-clock time and nothing else, which is the
-//! invariant the shard-count conformance suite pins.
+//! a compute permit plus a store of frozen home images) are merely
+//! where logical nodes execute: node `n` runs on shard `n % shards`.
+//! Changing the shard count changes wall-clock time and nothing else,
+//! which is the invariant the shard-count conformance suite pins.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -26,8 +27,8 @@ use det_memory::{AddressSpace, Region};
 
 use crate::ClusterStats;
 use crate::net::NetworkModel;
-use crate::protocol::{self, HostMsg, JobDone, JobFn, JobMsg};
-use crate::shard::{Permit, host_loop};
+use crate::protocol::{self, JobDone, JobFn, JobMsg};
+use crate::shard::{Permit, run_job};
 
 /// Configuration of a real-thread shard cluster run.
 #[derive(Clone)]
@@ -35,7 +36,7 @@ pub struct ClusterSpec {
     /// Logical nodes the workload addresses. Fixed by the workload:
     /// determines every deterministic quantity.
     pub nodes: u16,
-    /// Physical shards (OS host threads). Affects wall-clock time
+    /// Physical shards (compute permits). Affects wall-clock time
     /// only.
     pub shards: usize,
     /// The simulated-latency link between nodes.
@@ -54,7 +55,7 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A cluster of `nodes` logical nodes on `shards` host threads,
+    /// A cluster of `nodes` logical nodes on `shards` shards,
     /// with gigabit-Ethernet link parameters and default kernel
     /// configuration.
     pub fn new(nodes: u16, shards: usize) -> ClusterSpec {
@@ -71,18 +72,17 @@ impl ClusterSpec {
     }
 
     /// Runs `root` as the cluster's root space (node 0, with I/O
-    /// privileges) and drives the whole run to completion: spawns the
-    /// shard hosts, executes every migrated job, waits for stragglers,
-    /// and folds all per-kernel statistics into one deterministic
-    /// [`ClusterOutcome`].
+    /// privileges) and drives the whole run to completion: executes
+    /// every migrated job, joins every job vehicle (stragglers and
+    /// never-joined jobs included), and folds all per-kernel
+    /// statistics into one deterministic [`ClusterOutcome`].
     pub fn run<F>(self, root: F) -> ClusterOutcome
     where
         F: FnOnce(&mut SpaceCtx, &Remote) -> NativeResult + Send + 'static,
     {
         assert!(self.nodes >= 1, "a cluster needs at least one node");
         assert!(self.shards >= 1, "a cluster needs at least one shard");
-        let nodes = self.nodes;
-        let shards = self.shards;
+        let (nodes, shards) = (self.nodes, self.shards);
         let root_kcfg = KernelConfig::builder()
             .costs(self.costs)
             .policy(self.policy)
@@ -91,7 +91,7 @@ impl ClusterSpec {
             .faults(self.faults.clone())
             .build();
 
-        let (env, hosts) = Env::start(self);
+        let env = Env::new(self);
         // The root space computes under its home shard's permit like
         // any other resident of node 0.
         env.permits[env.shard_of(0)].acquire();
@@ -103,16 +103,16 @@ impl ClusterSpec {
         env.permits[env.shard_of(0)].release();
 
         // Leaked (never-joined) jobs still run to completion and their
-        // stats still aggregate; hosts shut down only when the last
-        // one has drained, so in-flight leaf pulls are always served.
-        while env.outstanding.load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
-        }
-        for s in 0..shards {
-            env.send(s, HostMsg::Shutdown);
-        }
-        for h in hosts {
-            let _ = h.join();
+        // stats still aggregate. A job registers the vehicles it forks
+        // before its own vehicle exits, so once the list is empty no
+        // job is left running. A vehicle that panicked surfaces as
+        // `KernelError::Killed` at its parent's join (its reply channel
+        // closed); the join here only waits.
+        loop {
+            let Some(vehicle) = env.vehicles.lock().pop() else {
+                break;
+            };
+            let _ = vehicle.join();
         }
 
         let agg = std::mem::take(&mut *env.agg.lock());
@@ -135,65 +135,38 @@ impl ClusterSpec {
     }
 }
 
-/// Shared cluster state: links to every shard host, compute permits,
-/// frozen home images, and the deterministic aggregate accumulators.
+/// Shared cluster state: compute permits, frozen home images, job
+/// vehicles, and the deterministic aggregate accumulators.
 pub(crate) struct Env {
     pub(crate) spec: ClusterSpec,
-    links: Vec<Mutex<mpsc::Sender<HostMsg>>>,
     pub(crate) permits: Vec<Arc<Permit>>,
     /// Per-shard frozen images of in-flight migrations, keyed by job
     /// id — the "home node keeps the pages" half of demand paging.
     stores: Vec<Mutex<BTreeMap<u64, AddressSpace>>>,
     next_job: AtomicU64,
-    pub(crate) outstanding: AtomicU64,
+    /// Every job vehicle not yet joined by [`ClusterSpec::run`].
+    vehicles: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) cluster: Mutex<ClusterStats>,
     pub(crate) agg: Mutex<Agg>,
 }
 
 impl Env {
-    fn start(spec: ClusterSpec) -> (Arc<Env>, Vec<std::thread::JoinHandle<()>>) {
+    fn new(spec: ClusterSpec) -> Arc<Env> {
         let shards = spec.shards;
-        let mut links = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            links.push(Mutex::new(tx));
-            rxs.push(rx);
-        }
-        let env = Arc::new(Env {
+        Arc::new(Env {
             spec,
-            links,
             permits: (0..shards).map(|_| Arc::new(Permit::new(1))).collect(),
             stores: (0..shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
             next_job: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
+            vehicles: Mutex::new(Vec::new()),
             cluster: Mutex::new(ClusterStats::default()),
             agg: Mutex::new(Agg::default()),
-        });
-        let hosts = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| {
-                let env2 = Arc::clone(&env);
-                std::thread::Builder::new()
-                    .name(format!("shard{s}-host"))
-                    .spawn(move || host_loop(env2, s, rx))
-                    .expect("spawn shard host")
-            })
-            .collect();
-        (env, hosts)
+        })
     }
 
     /// The placement map: logical node → physical shard.
     pub(crate) fn shard_of(&self, node: u16) -> usize {
         node as usize % self.spec.shards
-    }
-
-    pub(crate) fn send(&self, shard: usize, msg: HostMsg) {
-        self.links[shard]
-            .lock()
-            .send(msg)
-            .expect("shard host outlives every sender");
     }
 
     /// One leaf of a frozen home image, for a pull response.
@@ -233,10 +206,6 @@ impl Env {
             .policy(self.spec.policy)
             .vm_dispatch(self.spec.vm_dispatch)
             .build()
-    }
-
-    pub(crate) fn job_done(&self) {
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -423,8 +392,9 @@ impl Remote {
     /// Forks a job onto logical `node` (the paper's remote space
     /// creation, §3.3): freezes a structural snapshot of `spec.region`
     /// as the child's initial image, sends the leaf-directory summary
-    /// over the link, and lets the target shard pull exactly the
-    /// leaves it needs. Charges the caller the clone work plus — for a
+    /// over the link, and spawns the job's vehicle, which pulls
+    /// exactly the leaves it needs and then computes under the target
+    /// shard's permit. Charges the caller the clone work plus — for a
     /// cross-node fork — the migration summary message.
     pub fn fork(&self, ctx: &mut SpaceCtx, tag: u64, node: u16, spec: JobSpec) -> Result<()> {
         let env = &self.env;
@@ -472,23 +442,25 @@ impl Remote {
         let ordinal = self.forks.fetch_add(1, Ordering::Relaxed);
         let path = format!("{}/{}:{}@{}", self.path, ordinal, tag, node);
         let (reply, rx) = mpsc::channel();
-        env.outstanding.fetch_add(1, Ordering::SeqCst);
-        env.send(
-            env.shard_of(node),
-            HostMsg::Submit(Box::new(JobMsg {
-                job_id,
-                path,
-                node,
-                home_shard,
-                home_node: self.node,
-                program: spec.program,
-                region: spec.region,
-                touch: spec.touch,
-                summary,
-                start_vclock_ps: ctx.vclock_ps(),
-                reply,
-            })),
-        );
+        let msg = JobMsg {
+            job_id,
+            path,
+            node,
+            home_shard,
+            home_node: self.node,
+            program: spec.program,
+            region: spec.region,
+            touch: spec.touch,
+            summary,
+            start_vclock_ps: ctx.vclock_ps(),
+            reply,
+        };
+        let env2 = Arc::clone(env);
+        let vehicle = std::thread::Builder::new()
+            .name(format!("shard{}-job{job_id}", env.shard_of(node)))
+            .spawn(move || run_job(env2, msg))
+            .expect("spawn job vehicle");
+        env.vehicles.lock().push(vehicle);
         self.pending.lock().insert(
             tag,
             Pending {

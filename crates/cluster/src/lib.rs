@@ -25,16 +25,16 @@
 //!
 //! # Real-thread shards
 //!
-//! [`ClusterSpec`] promotes the simulation to N kernel *shards* on
-//! real OS threads: every logical node is homed on shard
+//! [`ClusterSpec`] promotes the simulation to N kernel *shards* that
+//! run in parallel: every logical node is homed on shard
 //! `node % shards`, each migrated job runs in its own `det-kernel`
-//! instance on its node's shard, and a migrated space materializes
-//! O(touched) by pulling *leaves* of the structurally shared page
-//! table over the (still simulated-latency) link. All deterministic
-//! quantities — virtual clocks, digests, kernel stats, traffic
-//! counters — are functions of the workload and the logical node
-//! count only, so they are bit-identical on 1 shard or 16 (see
-//! DESIGN.md §10 and `tests/determinism.rs`).
+//! instance on its own OS thread under its node's shard permit, and a
+//! migrated space materializes O(touched) by pulling *leaves* of the
+//! structurally shared page table over the (still simulated-latency)
+//! link. All deterministic quantities — virtual clocks, digests,
+//! kernel stats, traffic counters — are functions of the workload and
+//! the logical node count only, so they are bit-identical on 1 shard
+//! or 16 (see DESIGN.md §10 and `tests/determinism.rs`).
 
 mod controller;
 mod net;

@@ -13,6 +13,12 @@
 //!   leaf the destination actually needs, carrying the leaf's image in
 //!   the checkpoint delta encoding ([`det_kernel::wire`]).
 //!
+//! The link is simulated, so no message actually queues: the pulling
+//! job encodes each leaf from the home shard's frozen image and
+//! decodes it on its own thread, and is charged two messages and
+//! [`HEADER_BYTES`] plus the encoded length per pull, exactly as if
+//! the request and response had crossed a wire.
+//!
 //! Everything here is deterministic: message sizes come from the
 //! canonical wire encoding, so byte counts and the virtual-time
 //! charges derived from them are pure functions of the workload and
@@ -83,21 +89,7 @@ pub(crate) fn materialize(
     mem
 }
 
-/// Messages a shard host serves on its data-plane channel.
-pub(crate) enum HostMsg {
-    /// Run a migrated job on this shard.
-    Submit(Box<JobMsg>),
-    /// Pull one leaf of a frozen home image (request/response).
-    PullLeaf {
-        job: u64,
-        first_vpn: u64,
-        reply: mpsc::Sender<String>,
-    },
-    /// Drain and exit (sent once every job has completed).
-    Shutdown,
-}
-
-/// A remote fork in flight: everything the target shard needs to
+/// A remote fork in flight: everything the job's vehicle needs to
 /// materialize and run the migrated space.
 pub(crate) struct JobMsg {
     pub job_id: u64,

@@ -1,13 +1,15 @@
-//! Shard hosts: the data-plane half of the real-thread cluster.
+//! Shards: the data-plane half of the real-thread cluster.
 //!
-//! Each shard is one OS host thread plus a compute permit. The host
-//! thread never computes user work — it dispatches migrated jobs onto
-//! fresh vehicle threads and serves leaf pulls from the frozen images
-//! it is home to, so a shard stays responsive to the network while its
-//! resident job crunches. The permit models the paper's uniprocessor
-//! node: at most one migrated job *computes* per shard at a time, and
-//! a job blocked joining a child releases its permit (the child may
-//! need this very shard).
+//! A shard is a compute permit plus a store of frozen home images;
+//! it owns no thread. `Remote::fork` spawns each migrated job on a
+//! vehicle thread of its own, and the job serves its own leaf pulls:
+//! it encodes each leaf it needs from the home shard's frozen image
+//! and decodes it back on its own thread, so a pull never waits on a
+//! host loop. The bytes it charges are exactly those a request and
+//! its response would carry. The permit models the paper's
+//! uniprocessor node: at most one migrated job *computes* per shard at
+//! a time, and a job blocked joining a child releases its permit (the
+//! child may need this very shard).
 //!
 //! Nothing in this file touches virtual time or the deterministic
 //! counters except through quantities that are pure functions of the
@@ -17,7 +19,6 @@
 //! schedule).
 
 use std::sync::Arc;
-use std::sync::mpsc;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -25,7 +26,7 @@ use det_kernel::{Kernel, wire};
 use det_memory::AddressSpace;
 
 use crate::controller::{Env, JobArtifact, Remote};
-use crate::protocol::{HEADER_BYTES, HostMsg, JobDone, JobMsg, materialize, touched};
+use crate::protocol::{HEADER_BYTES, JobDone, JobMsg, materialize, touched};
 
 /// A counting permit (capacity 1 per shard): the uniprocessor-node
 /// compute token. Thread-agnostic by design — a job releases it while
@@ -58,47 +59,10 @@ impl Permit {
     }
 }
 
-/// The shard host loop: dispatch jobs, serve leaf pulls, drain on
-/// shutdown. Joins every job vehicle it spawned before exiting (the
-/// controller only sends `Shutdown` once all jobs have completed, so
-/// this never blocks on a pull served by an already-stopped peer).
-pub(crate) fn host_loop(env: Arc<Env>, shard: usize, rx: mpsc::Receiver<HostMsg>) {
-    let mut vehicles = Vec::new();
-    for msg in rx.iter() {
-        match msg {
-            HostMsg::Submit(job) => {
-                let env2 = Arc::clone(&env);
-                let name = format!("shard{shard}-job{}", job.job_id);
-                vehicles.push(
-                    std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || run_job(env2, *job))
-                        .expect("spawn job vehicle"),
-                );
-            }
-            HostMsg::PullLeaf {
-                job,
-                first_vpn,
-                reply,
-            } => {
-                // Data plane: encode the leaf from the frozen home
-                // image and ship it. Canonical encoding → the byte
-                // count every replica charges for is identical.
-                let json = wire::delta_to_json(&env.frozen_leaf(shard, job, first_vpn));
-                let _ = reply.send(json);
-            }
-            HostMsg::Shutdown => break,
-        }
-    }
-    for v in vehicles {
-        let _ = v.join();
-    }
-}
-
 /// Runs one migrated job: materialize O(touched) by pulling leaves
 /// from the home shard, execute it in a fresh `det-kernel` instance
 /// under this shard's compute permit, then ship the dirty delta home.
-fn run_job(env: Arc<Env>, msg: JobMsg) {
+pub(crate) fn run_job(env: Arc<Env>, msg: JobMsg) {
     let shard = env.shard_of(msg.node);
     let permit = Arc::clone(&env.permits[shard]);
     permit.acquire();
@@ -112,18 +76,10 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
             if !touched(leaf, &msg.touch) {
                 continue;
             }
-            let (txr, rxr) = mpsc::channel();
-            env.send(
-                msg.home_shard,
-                HostMsg::PullLeaf {
-                    job: msg.job_id,
-                    first_vpn: leaf.first_vpn,
-                    reply: txr,
-                },
-            );
-            let json = rxr
-                .recv()
-                .expect("home shard serves pulls until every job completes");
+            // Data plane: the leaf's canonical encoding from the frozen
+            // home image, so every replica charges the same bytes.
+            let json =
+                wire::delta_to_json(&env.frozen_leaf(msg.home_shard, msg.job_id, leaf.first_vpn));
             let resp_bytes = HEADER_BYTES + json.len() as u64;
             {
                 let mut cs = env.cluster.lock();
@@ -209,5 +165,4 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
         digest,
         delta_json,
     });
-    env.job_done();
 }

@@ -50,6 +50,7 @@ use serde::{DeError, Deserialize, Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
 use crate::error::{KernelError, Result};
+use crate::hex::{hex, unhex};
 use crate::state::{KSlot, KState, RunState, SpaceState};
 use crate::stats::KernelStats;
 use crate::trace::{
@@ -666,7 +667,7 @@ fn v_kstate(
     let outputs = ks
         .outputs
         .iter()
-        .map(|(dev, bytes)| Value::Array(vec![dev.to_value(), hex_bytes(bytes)]))
+        .map(|(dev, bytes)| Value::Array(vec![dev.to_value(), hex(bytes)]))
         .collect();
     obj(vec![
         ("boundary", Value::UInt(boundary)),
@@ -723,7 +724,7 @@ fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeE
                     _ => return Err(DeError::msg("expected [device, bytes] pair")),
                 };
                 let dev = crate::device::DeviceId::from_value(&pair[0])?;
-                outputs.insert(dev, unhex_bytes(&pair[1])?);
+                outputs.insert(dev, unhex(&pair[1])?);
             }
         }
         _ => return Err(DeError::msg("expected output array")),
@@ -737,35 +738,6 @@ fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeE
         outputs,
         root_exit: p_opt(req(v, "root_exit")?, p_exit)?,
     })
-}
-
-fn hex_bytes(bytes: &[u8]) -> Value {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    Value::Str(s)
-}
-
-fn unhex_bytes(v: &Value) -> std::result::Result<Vec<u8>, DeError> {
-    let s = match v {
-        Value::Str(s) => s,
-        _ => return Err(DeError::msg("expected hex string")),
-    };
-    if s.len() % 2 != 0 {
-        return Err(DeError::msg("odd-length hex string"));
-    }
-    let digit = |c: u8| -> std::result::Result<u8, DeError> {
-        (c as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| DeError::msg("bad hex digit"))
-    };
-    s.as_bytes()
-        .chunks(2)
-        .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
-        .collect()
 }
 
 #[cfg(test)]

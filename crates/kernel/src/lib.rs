@@ -80,6 +80,7 @@ mod ctx;
 mod device;
 mod error;
 mod fault;
+mod hex;
 mod ids;
 mod kernel;
 mod program;

@@ -29,6 +29,7 @@ use crate::apply::{EntryRec, PutRec, TraceEvent, VmCounters, apply};
 use crate::cost::{CostModel, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
+use crate::hex::{hex, unhex};
 use crate::state::{KState, ProgramKind, RunState, SpaceState, VmDispatch};
 use crate::stats::KernelStats;
 use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
@@ -292,35 +293,6 @@ pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
-}
-
-fn hex(bytes: &[u8]) -> Value {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    Value::Str(s)
-}
-
-fn unhex(v: &Value) -> std::result::Result<Vec<u8>, DeError> {
-    let s = match v {
-        Value::Str(s) => s,
-        _ => return Err(DeError::msg("expected hex string")),
-    };
-    if s.len() % 2 != 0 {
-        return Err(DeError::msg("odd-length hex string"));
-    }
-    let digit = |c: u8| -> std::result::Result<u8, DeError> {
-        (c as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| DeError::msg("bad hex digit"))
-    };
-    s.as_bytes()
-        .chunks(2)
-        .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
-        .collect()
 }
 
 pub(crate) fn tag(v: &Value) -> std::result::Result<&str, DeError> {

@@ -6,6 +6,12 @@
 //! Reusing one codec keeps every byte that crosses a shard link
 //! byte-stable and replayable: the data plane transfers exactly what
 //! `delta_since`/`apply_delta` round-trip, nothing more.
+//!
+//! A leaf pull calls both halves on the pulling job's own thread
+//! (encode from the home shard's frozen image, then decode), and a
+//! homecoming calls them on the job's and the joining parent's
+//! threads. Page data rides as hex, so a page costs about 8 KiB on the
+//! wire; both directions are linear in that size.
 
 use det_memory::SpaceDelta;
 use serde::Value;

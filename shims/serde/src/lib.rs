@@ -6,6 +6,7 @@
 //! `#[serde(skip)]`. `serde_json` (also vendored) renders [`Value`]
 //! as real JSON text.
 
+use std::borrow::Cow;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -55,6 +56,13 @@ impl std::error::Error for DeError {}
 /// Conversion into the data model.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// The data-model tree, borrowed when `self` already is one.
+    /// `serde_json` renders through this, so rendering a `Value`
+    /// never copies the tree.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 // A `Value` serializes as itself, so pre-built trees (e.g. rewritten
@@ -62,6 +70,10 @@ pub trait Serialize {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -71,11 +83,22 @@ impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
     }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Ok(v)
+    }
 }
 
 /// Conversion from the data model.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Conversion from a tree the caller gives up. `serde_json` parses
+    /// through this, so parsing into a `Value` moves the parsed tree
+    /// instead of copying it.
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 }
 
 /// Looks up and deserializes a struct field (used by derived impls).
@@ -221,5 +244,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }

@@ -1,23 +1,72 @@
 //! Vendored shim for the parts of `serde_json` this workspace uses:
 //! `to_string`, `to_string_pretty`, `from_str`, and `Error`.
+//!
+//! Both directions are linear in the text: strings are copied a run at
+//! a time between the bytes that need escaping, and a `Value` is
+//! rendered and parsed without copying its tree. Like the real crate,
+//! the parser refuses input nested more than 128 arrays or objects
+//! deep with an [`error::Category::Syntax`] error ("recursion limit
+//! exceeded"), so no input can exhaust the stack.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use serde::{Deserialize, Serialize, Value};
 
+use error::Category;
+
+/// Deepest array/object nesting the parser accepts (the real crate's
+/// default recursion limit).
+const MAX_DEPTH: usize = 128;
+
 /// JSON serialization/deserialization error.
 #[derive(Clone, Debug)]
-pub struct Error(String);
+pub struct Error {
+    category: Category,
+    msg: String,
+}
+
+/// Error details, at the real crate's paths.
+pub mod error {
+    pub use super::Error;
+
+    /// What kind of failure an [`Error`] is (the real crate's
+    /// `serde_json::error::Category`, minus I/O).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Category {
+        /// The input is not syntactically valid JSON, or nests deeper
+        /// than the recursion limit.
+        Syntax,
+        /// The input is valid JSON but does not fit the target type.
+        Data,
+        /// The input ended in the middle of a value.
+        Eof,
+    }
+}
 
 impl Error {
-    fn msg(m: impl Into<String>) -> Error {
-        Error(m.into())
+    fn syntax(m: impl Into<String>) -> Error {
+        Error {
+            category: Category::Syntax,
+            msg: m.into(),
+        }
+    }
+
+    fn eof(m: impl Into<String>) -> Error {
+        Error {
+            category: Category::Eof,
+            msg: m.into(),
+        }
+    }
+
+    /// The kind of failure.
+    pub fn classify(&self) -> Category {
+        self.category
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.msg)
     }
 }
 
@@ -25,48 +74,55 @@ impl std::error::Error for Error {}
 
 impl From<serde::DeError> for Error {
     fn from(e: serde::DeError) -> Error {
-        Error(e.to_string())
+        Error {
+            category: Category::Data,
+            msg: e.to_string(),
+        }
     }
 }
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, 0, false);
+    write_value(&value.as_value(), &mut out, 0, false);
     Ok(out)
 }
 
 /// Serializes `value` as 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, 0, true);
+    write_value(&value.as_value(), &mut out, 0, true);
     Ok(out)
 }
 
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        s,
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
-    p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
     if p.i != p.b.len() {
-        return Err(Error::msg(format!("trailing characters at offset {}", p.i)));
+        return Err(Error::syntax(format!(
+            "trailing characters at offset {}",
+            p.i
+        )));
     }
-    Ok(T::from_value(&v)?)
+    Ok(T::from_owned_value(v)?)
 }
 
 fn write_value(v: &Value, out: &mut String, depth: usize, pretty: bool) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::UInt(n) => write!(out, "{n}").expect("writing to a String"),
+        Value::Int(n) => write!(out, "{n}").expect("writing to a String"),
         Value::Float(f) => {
             if f.is_finite() {
-                out.push_str(&f.to_string());
+                write!(out, "{f}").expect("writing to a String");
             } else {
                 out.push_str("null");
             }
@@ -121,25 +177,46 @@ fn newline_indent(out: &mut String, depth: usize, pretty: bool) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an
+/// escape is ASCII, so the unescaped runs between them end on char
+/// boundaries and are copied whole.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        let esc = match c {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            c if c < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match esc {
+            Some(esc) => out.push_str(esc),
+            None => {
+                out.push_str("\\u00");
+                out.push(HEX[(c >> 4) as usize] as char);
+                out.push(HEX[(c & 0xf) as usize] as char);
+            }
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    /// The input; `b` is the same text as bytes.
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -154,14 +231,19 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, c: u8) -> Result<(), Error> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(Error::msg(format!(
+        match self.peek() {
+            Some(got) if got == c => {
+                self.i += 1;
+                Ok(())
+            }
+            Some(_) => Err(Error::syntax(format!(
                 "expected `{}` at offset {}",
                 c as char, self.i
-            )))
+            ))),
+            None => Err(Error::eof(format!(
+                "expected `{}` at end of input",
+                c as char
+            ))),
         }
     }
 
@@ -170,7 +252,42 @@ impl<'a> Parser<'a> {
             self.i += lit.len();
             Ok(())
         } else {
-            Err(Error::msg(format!("expected `{lit}` at offset {}", self.i)))
+            Err(Error::syntax(format!(
+                "expected `{lit}` at offset {}",
+                self.i
+            )))
+        }
+    }
+
+    /// Opens one array or object level, refusing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), Error> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Error::syntax(format!(
+                "recursion limit exceeded at offset {}",
+                self.i
+            )));
+        }
+        self.i += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// After an item: `,` continues the container, `close` ends it.
+    fn item_end(&mut self, close: u8, what: &str) -> Result<bool, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.i += 1;
+                Ok(false)
+            }
+            Some(c) if c == close => {
+                self.i += 1;
+                self.depth -= 1;
+                Ok(true)
+            }
+            Some(_) => Err(Error::syntax(format!("bad {what} at offset {}", self.i))),
+            None => Err(Error::eof(format!("unterminated {what}"))),
         }
     }
 
@@ -191,32 +308,26 @@ impl<'a> Parser<'a> {
             }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b'[') => {
-                self.i += 1;
+                self.enter()?;
                 let mut items = Vec::new();
-                self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.i += 1;
+                    self.depth -= 1;
                     return Ok(Value::Array(items));
                 }
                 loop {
                     items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::msg(format!("bad array at offset {}", self.i))),
+                    if self.item_end(b']', "array")? {
+                        return Ok(Value::Array(items));
                     }
                 }
             }
             Some(b'{') => {
-                self.i += 1;
+                self.enter()?;
                 let mut fields = Vec::new();
-                self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.i += 1;
+                    self.depth -= 1;
                     return Ok(Value::Object(fields));
                 }
                 loop {
@@ -226,22 +337,17 @@ impl<'a> Parser<'a> {
                     self.eat(b':')?;
                     let val = self.parse_value()?;
                     fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(Error::msg(format!("bad object at offset {}", self.i))),
+                    if self.item_end(b'}', "object")? {
+                        return Ok(Value::Object(fields));
                     }
                 }
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::msg(format!(
-                "unexpected {other:?} at offset {}",
-                self.i
+            Some(c) => Err(Error::syntax(format!(
+                "unexpected {:?} at offset {}",
+                c as char, self.i
             ))),
+            None => Err(Error::eof("expected a value at end of input")),
         }
     }
 
@@ -254,96 +360,92 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
+        let text = &self.s[start..self.i];
+        let bad = |e: &dyn fmt::Display| Error::syntax(format!("bad number `{text}`: {e}"));
         if text.contains(['.', 'e', 'E']) {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            let _ = rest;
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
+            text.parse::<f64>().map(Value::Float).map_err(|e| bad(&e))
+        } else if text.starts_with('-') {
+            text.parse::<i64>().map(Value::Int).map_err(|e| bad(&e))
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
+            text.parse::<u64>().map(Value::UInt).map_err(|e| bad(&e))
         }
-    }
-
-    /// Reads 4 hex digits starting at byte offset `at`.
-    fn parse_hex4(&self, at: usize) -> Result<u32, Error> {
-        let hex = self
-            .b
-            .get(at..at + 4)
-            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?;
-        u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            // `self.i` is at the `u`; leaves it on the
-                            // last hex digit for the shared `+= 1` below.
-                            let code = self.parse_hex4(self.i + 1)?;
-                            self.i += 4;
-                            let scalar = if (0xD800..=0xDBFF).contains(&code) {
-                                // UTF-16 surrogate pair: a conforming
-                                // producer escapes non-BMP chars as
-                                // \uHHHH\uLLLL.
-                                if self.b.get(self.i + 1..self.i + 3) != Some(&b"\\u"[..]) {
-                                    return Err(Error::msg("unpaired high surrogate"));
-                                }
-                                let low = self.parse_hex4(self.i + 3)?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err(Error::msg("invalid low surrogate"));
-                                }
-                                self.i += 6;
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                code
-                            };
-                            out.push(
-                                char::from_u32(scalar)
-                                    .ok_or_else(|| Error::msg("bad \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::msg(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| Error::msg("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash at once.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // input, which is already valid UTF-8.
+            let run = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or_else(|| Error::eof("unterminated string"))?;
+            out.push_str(&self.s[self.i..self.i + run]);
+            self.i += run + 1;
+            if self.b[self.i - 1] == b'"' {
+                return Ok(out);
             }
+            out.push(self.parse_escape()?);
         }
+    }
+
+    /// Decodes the escape after a backslash.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        let c = self
+            .peek()
+            .ok_or_else(|| Error::eof("unterminated string"))?;
+        self.i += 1;
+        Ok(match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let code = self.parse_hex4()?;
+                let scalar = if (0xD800..=0xDBFF).contains(&code) {
+                    // UTF-16 surrogate pair: a conforming producer
+                    // escapes non-BMP chars as \uHHHH\uLLLL.
+                    if self.b.get(self.i..self.i + 2) != Some(&b"\\u"[..]) {
+                        return Err(Error::syntax("unpaired high surrogate"));
+                    }
+                    self.i += 2;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..=0xDFFF).contains(&low) {
+                        return Err(Error::syntax("invalid low surrogate"));
+                    }
+                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    code
+                };
+                char::from_u32(scalar).ok_or_else(|| Error::syntax("bad \\u code point"))?
+            }
+            other => {
+                return Err(Error::syntax(format!("bad escape {:?}", other as char)));
+            }
+        })
+    }
+
+    /// Reads the 4 hex digits of a `\u` escape.
+    fn parse_hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .b
+            .get(self.i..self.i + 4)
+            .ok_or_else(|| Error::eof("truncated \\u escape"))?;
+        let mut code = 0;
+        for &h in hex {
+            let d = (h as char)
+                .to_digit(16)
+                .ok_or_else(|| Error::syntax("bad \\u escape"))?;
+            code = code << 4 | d;
+        }
+        self.i += 4;
+        Ok(code)
     }
 }
 
@@ -376,6 +478,15 @@ mod tests {
         assert!(from_str::<String>("\"\\ud83d\"").is_err()); // unpaired high
         assert!(from_str::<String>("\"\\ud83d\\u0041\"").is_err()); // bad low
         assert!(from_str::<String>("\"\\udc00\"").is_err()); // lone low
+        assert!(from_str::<String>("\"\\ud83d\\ude0").is_err()); // truncated low
+    }
+
+    #[test]
+    fn surrogate_pairs_next_to_raw_multibyte_runs() {
+        assert_eq!(
+            from_str::<String>("\"日😀\\ud83d\\ude00é\\ud83d\\ude00\"").unwrap(),
+            "日😀😀é😀"
+        );
     }
 
     #[test]
@@ -383,5 +494,103 @@ mod tests {
         let s = "quote\" backslash\\ newline\n tab\t ctrl\u{1} unicode\u{263a}".to_string();
         let json = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn encoder_escapes_exactly_the_special_bytes() {
+        let s = "é\"ü\\😀\n日\u{1f}\r\tz";
+        let json = to_string(s).unwrap();
+        assert_eq!(json, "\"é\\\"ü\\\\😀\\n日\\u001f\\r\\tz\"");
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn multibyte_runs_survive_escapes_at_every_boundary() {
+        // Every 1-, 2-, 3- and 4-byte scalar width, with an escape (or
+        // a string end) directly before and after each run.
+        let runs = ["a", "é", "日本", "😀😀", "ab日é😀"];
+        let escapes = ["\"", "\\", "\n", "\u{0}", "\u{1f}"];
+        for run in runs {
+            for esc in escapes {
+                for s in [
+                    format!("{run}{esc}"),
+                    format!("{esc}{run}"),
+                    format!("{esc}{run}{esc}{run}{esc}"),
+                    run.to_string(),
+                ] {
+                    let json = to_string(&s).unwrap();
+                    assert_eq!(from_str::<String>(&json).unwrap(), s, "{json}");
+                }
+            }
+        }
+        // \u escapes for multi-byte scalars, adjacent to raw ones.
+        assert_eq!(
+            from_str::<String>("\"\\u00e9é\\u65e5日\\\"😀\"").unwrap(),
+            "éé日日\"😀"
+        );
+    }
+
+    #[test]
+    fn truncated_strings_are_errors() {
+        for bad in ["\"abc", "\"abc\\", "\"\\u12", "\"é\\u00e", "\"😀\\"] {
+            let err = from_str::<String>(bad).unwrap_err();
+            assert_eq!(err.classify(), Category::Eof, "{bad}: {err}");
+        }
+        let err = from_str::<String>("\"\\q\"").unwrap_err();
+        assert_eq!(err.classify(), Category::Syntax);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.classify(), Category::Syntax);
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        // Far past the cap, unterminated: still an error, not an abort.
+        let err = from_str::<Value>(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        let objs = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            from_str::<Value>(&objs).unwrap_err().classify(),
+            Category::Syntax
+        );
+        // Depth is nesting, not count: many siblings are fine.
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn data_errors_are_classified() {
+        assert_eq!(
+            from_str::<u8>("300").unwrap_err().classify(),
+            Category::Data
+        );
+        assert_eq!(from_str::<u8>("[").unwrap_err().classify(), Category::Eof);
+        assert_eq!(
+            from_str::<u8>("1 2").unwrap_err().classify(),
+            Category::Syntax
+        );
+    }
+
+    #[test]
+    fn value_trees_roundtrip() {
+        let json = "{\"a\":[1,-2,3.5,null,true],\"b\":{\"c\":\"d\\u0001\"},\"e\":[]}";
+        let v = from_str::<Value>(json).unwrap();
+        assert_eq!(to_string(&v).unwrap(), json);
+        assert_eq!(
+            from_str::<Value>(&to_string_pretty(&v).unwrap()).unwrap(),
+            v
+        );
     }
 }
