@@ -240,10 +240,10 @@ fn bench_merge(c: &mut Criterion) {
 /// drives a VM child — the mode in which the kernel enforces
 /// determinism on arbitrary code — which the engine executes *inline*
 /// on the waiting parent, so a roundtrip pays zero host context
-/// switches. The threaded/native variants below keep the
-/// context-switch-bound paths measured.
+/// switches. The native variant below keeps the context-switch-bound
+/// path measured.
 fn bench_syscall_rendezvous(c: &mut Criterion) {
-    use det_kernel::{Regs, VmDispatch};
+    use det_kernel::Regs;
     use det_memory::Perm;
 
     // Two VM instructions per rendezvous roundtrip.
@@ -303,33 +303,6 @@ fn bench_syscall_rendezvous(c: &mut Criterion) {
                     for _ in 0..iters {
                         ctx.put_get(0, PutSpec::new().start(), GetSpec::new())?;
                     }
-                    Ok(0)
-                });
-                start.elapsed()
-            })
-        });
-    }
-    // The same roundtrip with the VM child on its own host thread:
-    // what every rendezvous cost before inline dispatch, minus the
-    // old engine's broadcast wakeups.
-    {
-        let image = image.clone();
-        g.bench_function("vm_threaded_roundtrip", move |b| {
-            b.iter_custom(|iters| {
-                let image = image.clone();
-                let start = std::time::Instant::now();
-                Kernel::new(
-                    KernelConfig::builder()
-                        .vm_dispatch(VmDispatch::Threaded)
-                        .build(),
-                )
-                .run(move |ctx| {
-                    vm_child(&image, ctx)?;
-                    for _ in 0..iters {
-                        ctx.get(0, GetSpec::new())?;
-                        ctx.put(0, PutSpec::new().start())?;
-                    }
-                    ctx.get(0, GetSpec::new())?;
                     Ok(0)
                 });
                 start.elapsed()

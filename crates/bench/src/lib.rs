@@ -682,14 +682,13 @@ pub fn clone_table(scale: Scale) -> Table {
 /// targeted-wakeup engine (DESIGN.md §6), per execution-vehicle
 /// pattern. The wakeup and spurious-wake columns come straight from
 /// the kernel's engine counters: wakeups are a deterministic function
-/// of the rendezvous history (and exactly 0 for inline VM dispatch);
+/// of the rendezvous history (and exactly 0 for inline VM children);
 /// spurious wakes are host-timing observability. Host ns/roundtrip is
 /// indicative (shim criterion caveat); the virtual column is what the
 /// cost model charges for the same roundtrip.
 pub fn rendezvous_table(scale: Scale) -> Table {
     use det_kernel::{
         CopySpec, GetSpec, Kernel, KernelConfig, Perm, Program, PutSpec, Region, Regs, RunOutcome,
-        VmDispatch,
     };
 
     let rounds: u64 = match scale {
@@ -711,56 +710,50 @@ pub fn rendezvous_table(scale: Scale) -> Table {
     enum Pattern {
         VmInline,
         VmInlineFused,
-        VmThreaded,
         NativeThreaded,
     }
     let run = |p: Pattern| -> (f64, RunOutcome) {
         let image = image.clone();
-        let dispatch = match p {
-            Pattern::VmThreaded => VmDispatch::Threaded,
-            _ => VmDispatch::Inline,
-        };
         let t0 = std::time::Instant::now();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                if p == Pattern::NativeThreaded {
-                    ctx.put(
-                        0,
-                        PutSpec::new()
-                            .program(Program::native(move |cc| {
-                                for _ in 0..rounds {
-                                    cc.ret(0)?;
-                                }
-                                Ok(0)
-                            }))
-                            .start(),
-                    )?;
-                } else {
-                    ctx.mem_mut().map_zero(code, Perm::RW)?;
-                    ctx.mem_mut().write(0, &image.bytes)?;
-                    ctx.put(
-                        0,
-                        PutSpec::new()
-                            .program(Program::Vm)
-                            .copy(CopySpec::mirror(code))
-                            .regs(Regs::at_entry(0))
-                            .start(),
-                    )?;
+        let out = Kernel::new(KernelConfig::default()).run(move |ctx| {
+            if p == Pattern::NativeThreaded {
+                ctx.put(
+                    0,
+                    PutSpec::new()
+                        .program(Program::native(move |cc| {
+                            for _ in 0..rounds {
+                                cc.ret(0)?;
+                            }
+                            Ok(0)
+                        }))
+                        .start(),
+                )?;
+            } else {
+                ctx.mem_mut().map_zero(code, Perm::RW)?;
+                ctx.mem_mut().write(0, &image.bytes)?;
+                ctx.put(
+                    0,
+                    PutSpec::new()
+                        .program(Program::Vm)
+                        .copy(CopySpec::mirror(code))
+                        .regs(Regs::at_entry(0))
+                        .start(),
+                )?;
+            }
+            if p == Pattern::VmInlineFused {
+                ctx.get(0, GetSpec::new())?;
+                for _ in 0..rounds {
+                    ctx.put_get(0, PutSpec::new().start(), GetSpec::new())?;
                 }
-                if p == Pattern::VmInlineFused {
+            } else {
+                for _ in 0..rounds {
                     ctx.get(0, GetSpec::new())?;
-                    for _ in 0..rounds {
-                        ctx.put_get(0, PutSpec::new().start(), GetSpec::new())?;
-                    }
-                } else {
-                    for _ in 0..rounds {
-                        ctx.get(0, GetSpec::new())?;
-                        ctx.put(0, PutSpec::new().start())?;
-                    }
-                    ctx.get(0, GetSpec::new())?;
+                    ctx.put(0, PutSpec::new().start())?;
                 }
-                Ok(0)
-            });
+                ctx.get(0, GetSpec::new())?;
+            }
+            Ok(0)
+        });
         let host_ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
         (host_ns, out)
     };
@@ -772,7 +765,6 @@ pub fn rendezvous_table(scale: Scale) -> Table {
             "vm child, inline dispatch (fused put_get)",
             Pattern::VmInlineFused,
         ),
-        ("vm child, dedicated thread", Pattern::VmThreaded),
         ("native child, dedicated thread", Pattern::NativeThreaded),
     ] {
         let (host_ns, out) = run(p);

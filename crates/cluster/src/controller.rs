@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use det_kernel::{
     ConflictPolicy, CostModel, FaultPlan, IoMode, Kernel, KernelConfig, KernelError, KernelStats,
-    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, VmDispatch, wire,
+    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, to_hex, wire,
 };
 use det_memory::{AddressSpace, Region};
 
@@ -45,8 +45,6 @@ pub struct ClusterSpec {
     pub costs: CostModel,
     /// Merge conflict policy for every kernel instance.
     pub policy: ConflictPolicy,
-    /// VM dispatch mode for every kernel instance.
-    pub vm_dispatch: VmDispatch,
     /// Nondeterministic-input mode for the *root* kernel (jobs have
     /// no I/O privileges, exactly like non-root spaces).
     pub io: IoMode,
@@ -65,7 +63,6 @@ impl ClusterSpec {
             net: NetworkModel::ethernet_1g(),
             costs: CostModel::default(),
             policy: ConflictPolicy::default(),
-            vm_dispatch: VmDispatch::default(),
             io: IoMode::default(),
             faults: FaultPlan::default(),
         }
@@ -86,7 +83,6 @@ impl ClusterSpec {
         let root_kcfg = KernelConfig::builder()
             .costs(self.costs)
             .policy(self.policy)
-            .vm_dispatch(self.vm_dispatch)
             .io(self.io.clone())
             .faults(self.faults.clone())
             .build();
@@ -204,7 +200,6 @@ impl Env {
         KernelConfig::builder()
             .costs(self.spec.costs)
             .policy(self.spec.policy)
-            .vm_dispatch(self.spec.vm_dispatch)
             .build()
     }
 }
@@ -587,9 +582,8 @@ impl ClusterOutcome {
     /// The canonical conformance bundle: every deterministic section
     /// of the outcome, serialized to stable bytes. Two runs of the
     /// same workload must produce bit-identical bundles regardless of
-    /// shard count, host load, or dispatch vehicle placement; the
-    /// shard count and the quarantined host counters are deliberately
-    /// excluded.
+    /// shard count or host load; the shard count and the quarantined
+    /// host counters are deliberately excluded.
     pub fn bundle_bytes(&self) -> Vec<u8> {
         use std::fmt::Write;
         let mut out = String::new();
@@ -598,12 +592,10 @@ impl ClusterOutcome {
         writeln!(out, "[exit]\n{:?}", self.exit).unwrap();
         writeln!(out, "[vclock]\nns={}", self.vclock_ns).unwrap();
         out.push_str("[stats-core]\n");
-        stat_lines(&self.stats, false, &mut out);
-        out.push_str("[stats-vehicle]\n");
-        stat_lines(&self.stats, true, &mut out);
+        stat_lines(&self.stats, &mut out);
         out.push_str("[outputs]\n");
         for (dev, bytes) in &self.root.outputs {
-            writeln!(out, "{dev:?}={}", hex(bytes)).unwrap();
+            writeln!(out, "{dev:?}={}", to_hex(bytes)).unwrap();
         }
         let mut bytes = out.into_bytes();
         bytes.extend_from_slice(&self.cluster_sections());
@@ -612,8 +604,7 @@ impl ClusterOutcome {
 
     /// The `[cluster]` and `[jobs]` sections of the bundle on their
     /// own: the traffic counters and the per-job artifact table.
-    /// These are invariant across shard count, host load, *and*
-    /// dispatch vehicle (no vehicle-observability counters), which is
+    /// These are invariant across shard count and host load, which is
     /// what lets a conformance scenario fold them verbatim into its
     /// replica-compared console stream.
     pub fn cluster_sections(&self) -> Vec<u8> {
@@ -645,10 +636,8 @@ impl ClusterOutcome {
     }
 }
 
-/// Writes `k=v` stat lines; `vehicle` selects the vehicle-
-/// observability fields (same quarantine set as the conformance
-/// harness) vs everything else.
-fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
+/// Writes one `k=v` line per stat, in [`KernelStats`] field order.
+fn stat_lines(s: &KernelStats, out: &mut String) {
     use std::fmt::Write;
     let KernelStats {
         puts,
@@ -678,12 +667,6 @@ fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
         checkpoints,
         checkpoint_leaves,
     } = s;
-    if vehicle {
-        writeln!(out, "threads_spawned={threads_spawned}").unwrap();
-        writeln!(out, "condvar_wakeups={condvar_wakeups}").unwrap();
-        writeln!(out, "vm_inline_runs={vm_inline_runs}").unwrap();
-        return;
-    }
     writeln!(out, "puts={puts}").unwrap();
     writeln!(out, "gets={gets}").unwrap();
     writeln!(out, "put_gets={put_gets}").unwrap();
@@ -691,6 +674,7 @@ fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
     writeln!(out, "traps={traps}").unwrap();
     writeln!(out, "limit_preemptions={limit_preemptions}").unwrap();
     writeln!(out, "spaces_created={spaces_created}").unwrap();
+    writeln!(out, "threads_spawned={threads_spawned}").unwrap();
     writeln!(out, "pages_copied={pages_copied}").unwrap();
     writeln!(out, "pages_snapped={pages_snapped}").unwrap();
     writeln!(out, "leaves_cloned={leaves_cloned}").unwrap();
@@ -705,14 +689,8 @@ fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
     writeln!(out, "vm_pages_walked={vm_pages_walked}").unwrap();
     writeln!(out, "vm_icache_hits={vm_icache_hits}").unwrap();
     writeln!(out, "vm_icache_fills={vm_icache_fills}").unwrap();
+    writeln!(out, "condvar_wakeups={condvar_wakeups}").unwrap();
+    writeln!(out, "vm_inline_runs={vm_inline_runs}").unwrap();
     writeln!(out, "checkpoints={checkpoints}").unwrap();
     writeln!(out, "checkpoint_leaves={checkpoint_leaves}").unwrap();
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }

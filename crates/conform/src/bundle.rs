@@ -25,38 +25,17 @@ use std::fmt::Write as _;
 
 use det_kernel::{
     DeviceId, InputEvent, IoLog, KernelStats, ReplayOutcome, SpaceArtifact, Trace, TraceEvent,
-    VmDispatch,
+    to_hex,
 };
 use serde::{Serialize, Value};
 
 use crate::scenario::ScenarioRun;
-
-/// Which sections of a bundle participate in a comparison.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Scope {
-    /// Every section. The comparison for replicas of the *same*
-    /// configuration: any byte may differ only through a real
-    /// nondeterminism bug.
-    Full,
-    /// Excludes the `[stats-vehicle]` and `[trace]` sections, which
-    /// legitimately depend on the execution-vehicle policy (thread
-    /// counts, inline-run counts, check-in boundaries). The comparison
-    /// across `VmDispatch::Inline` vs `Threaded`.
-    CrossDispatch,
-}
-
-/// Stats fields that describe the execution *vehicle* rather than the
-/// computation; serialized into `[stats-vehicle]` and excluded from
-/// cross-dispatch comparisons.
-const VEHICLE_FIELDS: &[&str] = &["threads_spawned", "condvar_wakeups", "vm_inline_runs"];
 
 /// The canonical artifact bundle of one scenario run.
 #[derive(Clone, Debug)]
 pub struct Artifacts {
     /// Scenario name (bundle `[meta]`).
     pub scenario: String,
-    /// Execution-vehicle policy the run used.
-    pub dispatch: VmDispatch,
     /// Root exit status, `Debug`-rendered (`Ok(0)`, `Err(PageFault)`…).
     pub exit: String,
     /// Virtual-time makespan in nanoseconds.
@@ -76,7 +55,7 @@ pub struct Artifacts {
 
 impl Artifacts {
     /// Collects the bundle from a scenario run.
-    pub fn collect(scenario: &str, dispatch: VmDispatch, run: &ScenarioRun) -> Artifacts {
+    pub fn collect(scenario: &str, run: &ScenarioRun) -> Artifacts {
         let out = &run.outcome;
         let mut spaces = out.spaces.clone();
         spaces.sort_by(|a, b| a.path.cmp(&b.path));
@@ -86,7 +65,6 @@ impl Artifacts {
             .map(|t| project_streams(&t.events, &out.space_paths));
         Artifacts {
             scenario: scenario.to_string(),
-            dispatch,
             exit: format!("{:?}", out.exit),
             vclock_ns: out.vclock_ns,
             stats: out.stats.clone(),
@@ -106,14 +84,9 @@ impl Artifacts {
     /// order is the root's own syscall order, which is exactly how
     /// the live log is built), the trace streams from the full event
     /// sequence the recovered run re-derived. Crash recovery conforms
-    /// iff this bundle is byte-identical ([`Scope::Full`]) to the
-    /// uninterrupted run's [`Artifacts::collect`] bundle.
-    pub fn from_recovery(
-        scenario: &str,
-        dispatch: VmDispatch,
-        out: &ReplayOutcome,
-        trace: &Trace,
-    ) -> Artifacts {
+    /// iff this bundle is byte-identical to the uninterrupted run's
+    /// [`Artifacts::collect`] bundle.
+    pub fn from_recovery(scenario: &str, out: &ReplayOutcome, trace: &Trace) -> Artifacts {
         let mut spaces = out.spaces.clone();
         spaces.sort_by(|a, b| a.path.cmp(&b.path));
         let mut io_log = IoLog::default();
@@ -128,7 +101,6 @@ impl Artifacts {
         }
         Artifacts {
             scenario: scenario.to_string(),
-            dispatch,
             exit: format!("{:?}", out.exit),
             vclock_ns: out.vclock_ns,
             stats: out.stats.clone(),
@@ -142,18 +114,17 @@ impl Artifacts {
     /// Serializes the bundle into its canonical byte form.
     ///
     /// Sections appear in a fixed order — `[meta]`, `[exit]`,
-    /// `[vclock]`, `[stats-core]`, `[stats-vehicle]`, `[outputs]`,
-    /// `[io]`, `[spaces]`, `[trace]` — with one `key=value` line per
-    /// fact and `\n` line endings throughout.
-    pub fn to_bytes(&self, scope: Scope) -> Vec<u8> {
+    /// `[vclock]`, `[stats-core]`, `[outputs]`, `[io]`, `[spaces]`,
+    /// `[trace]` — with one `key=value` line per fact and `\n` line
+    /// endings throughout.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut s = String::new();
         let _ = writeln!(s, "[meta]\nscenario={}", self.scenario);
         let _ = writeln!(s, "[exit]\nexit={}", self.exit);
         let _ = writeln!(s, "[vclock]\nvclock_ns={}", self.vclock_ns);
 
         s.push_str("[stats-core]\n");
-        let (core, vehicle) = stat_lines(&self.stats);
-        for (k, v) in &core {
+        for (k, v) in &stat_lines(&self.stats) {
             let _ = writeln!(s, "{k}={v}");
         }
         let m = &self.stats.merge_totals.0;
@@ -171,17 +142,10 @@ impl Artifacts {
         ] {
             let _ = writeln!(s, "{k}={v}");
         }
-        if scope == Scope::Full {
-            s.push_str("[stats-vehicle]\n");
-            let _ = writeln!(s, "dispatch={:?}", self.dispatch);
-            for (k, v) in &vehicle {
-                let _ = writeln!(s, "{k}={v}");
-            }
-        }
 
         s.push_str("[outputs]\n");
         for (dev, data) in &self.outputs {
-            let _ = writeln!(s, "{dev:?}={}", hex(data));
+            let _ = writeln!(s, "{dev:?}={}", to_hex(data));
         }
         s.push_str("[io]\n");
         let _ = writeln!(
@@ -200,14 +164,12 @@ impl Artifacts {
                 let _ = writeln!(s, "page path={} vpn={vpn:#x} digest={d:016x}", sp.path);
             }
         }
-        if scope == Scope::Full {
-            if let Some(streams) = &self.trace_streams {
-                s.push_str("[trace]\n");
-                for (path, events) in streams {
-                    let _ = writeln!(s, "stream path={path} events={}", events.len());
-                    for e in events {
-                        let _ = writeln!(s, "e={e}");
-                    }
+        if let Some(streams) = &self.trace_streams {
+            s.push_str("[trace]\n");
+            for (path, events) in streams {
+                let _ = writeln!(s, "stream path={path} events={}", events.len());
+                for e in events {
+                    let _ = writeln!(s, "e={e}");
                 }
             }
         }
@@ -246,36 +208,24 @@ impl Artifacts {
 /// `key=value` stat lines in field declaration order.
 pub type StatLines = Vec<(String, String)>;
 
-/// Splits the stats vector into (core, vehicle) `key=value` lists,
-/// preserving field declaration order. Public so the divergence
-/// classifier can name the exact counter that drifted.
-pub fn stat_lines(stats: &KernelStats) -> (StatLines, StatLines) {
-    let mut core = Vec::new();
-    let mut vehicle = Vec::new();
-    if let Value::Object(fields) = stats.to_value() {
-        for (k, v) in fields {
+/// Renders the stats vector as `key=value` lines in field
+/// declaration order. Public so the divergence classifier can name
+/// the exact counter that drifted.
+pub fn stat_lines(stats: &KernelStats) -> StatLines {
+    let Value::Object(fields) = stats.to_value() else {
+        return Vec::new();
+    };
+    fields
+        .into_iter()
+        .map(|(k, v)| {
             let rendered = match v {
                 Value::UInt(n) => n.to_string(),
                 Value::Int(n) => n.to_string(),
                 other => serde_json::to_string(&other).expect("stat renders"),
             };
-            if VEHICLE_FIELDS.contains(&k.as_str()) {
-                vehicle.push((k, rendered));
-            } else {
-                core.push((k, rendered));
-            }
-        }
-    }
-    (core, vehicle)
-}
-
-/// Lowercase hex of a byte string.
-fn hex(data: &[u8]) -> String {
-    let mut s = String::with_capacity(data.len() * 2);
-    for b in data {
-        let _ = write!(s, "{b:02x}");
-    }
-    s
+            (k, rendered)
+        })
+        .collect()
 }
 
 /// The space a trace event belongs to: syscalls belong to the caller,

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::bundle::{Artifacts, Scope};
+use crate::bundle::{Artifacts, stat_lines};
 
 /// Root-cause category of a divergence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,17 +71,17 @@ impl Divergence {
     }
 }
 
-/// Compares two bundles byte-for-byte under `scope`. Returns `None`
-/// when they are identical; otherwise the first divergent offset with
-/// hex context and a root-cause classification.
-pub fn compare(a: &Artifacts, b: &Artifacts, scope: Scope) -> Option<Divergence> {
-    let ba = a.to_bytes(scope);
-    let bb = b.to_bytes(scope);
+/// Compares two bundles byte-for-byte. Returns `None` when they are
+/// identical; otherwise the first divergent offset with hex context
+/// and a root-cause classification.
+pub fn compare(a: &Artifacts, b: &Artifacts) -> Option<Divergence> {
+    let ba = a.to_bytes();
+    let bb = b.to_bytes();
     if ba == bb {
         return None;
     }
     let offset = first_diff(&ba, &bb);
-    let (category, detail) = classify(a, b, scope);
+    let (category, detail) = classify(a, b);
     Some(Divergence {
         category,
         detail,
@@ -139,20 +139,18 @@ fn brief(e: &str) -> String {
 }
 
 /// Root-cause classification, in diagnostic order.
-fn classify(a: &Artifacts, b: &Artifacts, scope: Scope) -> (DivergenceCategory, String) {
+fn classify(a: &Artifacts, b: &Artifacts) -> (DivergenceCategory, String) {
     // 1. Trace event streams: a syscall-level divergence explains
     //    everything downstream, so look there first.
-    if scope == Scope::Full {
-        if let Some(d) = classify_traces(a, b) {
-            return d;
-        }
+    if let Some(d) = classify_traces(a, b) {
+        return d;
     }
     // 2. Per-space memory.
     if let Some(d) = classify_spaces(a, b) {
         return d;
     }
     // 3. The deterministic stats vector, clocks, and exit status.
-    if let Some(d) = classify_stats(a, b, scope) {
+    if let Some(d) = classify_stats(a, b) {
         return d;
     }
     // 4. Device outputs and the input log.
@@ -289,11 +287,7 @@ fn classify_spaces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, 
     None
 }
 
-fn classify_stats(
-    a: &Artifacts,
-    b: &Artifacts,
-    scope: Scope,
-) -> Option<(DivergenceCategory, String)> {
+fn classify_stats(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
     if a.exit != b.exit {
         return Some((
             DivergenceCategory::StatDrift,
@@ -308,12 +302,7 @@ fn classify_stats(
     }
     // Field-by-field through the serialized form so the report names
     // the counter.
-    let (mut la, va) = crate::bundle::stat_lines(&a.stats);
-    let (mut lb, vb) = crate::bundle::stat_lines(&b.stats);
-    if scope == Scope::Full {
-        la.extend(va);
-        lb.extend(vb);
-    }
+    let (la, lb) = (stat_lines(&a.stats), stat_lines(&b.stats));
     for ((ka, a_val), (_kb, b_val)) in la.iter().zip(lb.iter()) {
         if a_val != b_val {
             return Some((

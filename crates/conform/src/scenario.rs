@@ -2,8 +2,8 @@
 //! library-callable fixture.
 //!
 //! A [`Scenario`] is a named, deterministic computation that the
-//! conformance harness can run any number of times under any
-//! [`VmDispatch`] and host load, producing a [`det_kernel::RunOutcome`]
+//! conformance harness can run any number of times under any host
+//! load and fault plan, producing a [`det_kernel::RunOutcome`]
 //! (and, when requested, a syscall-level [`det_kernel::Trace`]). The
 //! bodies mirror the repository's `examples/` and the det-workloads
 //! benchmarks at test-sized parameters; anything the examples print is
@@ -12,7 +12,7 @@
 
 use det_kernel::{
     CopySpec, DeviceId, FaultPlan, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec,
-    Region, Regs, RunOutcome, StopReason, Trace, TraceSink, VmDispatch,
+    Region, Regs, RunOutcome, StopReason, Trace, TraceSink,
 };
 use det_memory::Perm;
 use det_runtime::proc::{ProgramRegistry, run_process_tree};
@@ -20,11 +20,11 @@ use det_runtime::threads::ThreadGroup;
 use det_runtime::{run_deterministic, shell};
 use det_workloads::{Mode, blackscholes, dist, fft, lu, matmult, md5, qsort, sharded};
 
-/// How the harness wants a scenario executed.
+/// How the harness wants a scenario executed: whether to record a
+/// trace and which faults to inject. VM spaces always run inline on
+/// the thread that waits for them, so there is no vehicle to choose.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
-    /// Execution-vehicle policy for VM spaces.
-    pub dispatch: VmDispatch,
     /// Record a syscall trace (ignored for untraceable scenarios).
     pub trace: bool,
     /// Deterministic faults to inject (empty = run clean).
@@ -32,10 +32,9 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A clean traced run under the given dispatch mode.
-    pub fn traced(dispatch: VmDispatch) -> ScenarioConfig {
+    /// A clean traced run.
+    pub fn traced() -> ScenarioConfig {
         ScenarioConfig {
-            dispatch,
             trace: true,
             faults: FaultPlan::default(),
         }
@@ -74,9 +73,7 @@ fn run_scenario(
     } else {
         None
     };
-    let mut b = KernelConfig::builder()
-        .vm_dispatch(cfg.dispatch)
-        .faults(cfg.faults.clone());
+    let mut b = KernelConfig::builder().faults(cfg.faults.clone());
     if let Some(s) = &sink {
         b = b.trace(s.clone());
     }
@@ -247,8 +244,7 @@ fn vm_sandbox(cfg: &ScenarioConfig) -> ScenarioRun {
 }
 
 /// Two VM children streaming counter values to the parent through a
-/// `Ret` loop (exercises the inline-vs-threaded dispatch paths
-/// symmetrically).
+/// `Ret` loop (exercises inline VM resume on every rendezvous).
 fn vm_counter_stream(cfg: &ScenarioConfig) -> ScenarioRun {
     run_scenario(cfg, true, |kc| {
         let image = det_vm::assemble(det_vm::corpus::COUNTER_STREAM).expect("assembles");
@@ -562,11 +558,10 @@ fn dist_md5_tree(cfg: &ScenarioConfig) -> ScenarioRun {
 /// cluster, `det_cluster::ClusterSpec`) as a scenario. The migration
 /// hooks are host-driven, so no syscall trace can be recorded; the
 /// replica-compared outcome is the root kernel's with the
-/// cluster-wide aggregate statistics swapped in (their vehicle fields
-/// still land in the harness's quarantined `[stats-vehicle]` section)
-/// and the dispatch-invariant `[cluster]`/`[jobs]` bundle sections
-/// appended to the console stream, so every traffic counter and
-/// per-job artifact participates in the byte comparison.
+/// cluster-wide aggregate statistics swapped in and the shard-count-
+/// invariant `[cluster]`/`[jobs]` bundle sections appended to the
+/// console stream, so every traffic counter and per-job artifact
+/// participates in the byte comparison.
 fn cluster_scenario(
     cfg: &ScenarioConfig,
     nodes: u16,
@@ -577,7 +572,6 @@ fn cluster_scenario(
         nodes,
         shards: 3,
         size,
-        dispatch: cfg.dispatch,
         faults: cfg.faults.clone(),
     });
     let sections = r.outcome.cluster_sections();
@@ -604,7 +598,7 @@ fn cluster_fork_fanout(cfg: &ScenarioConfig) -> ScenarioRun {
 
 /// Cross-shard migration storm: rounds of fork/join against every
 /// non-root node, each job running a det-vm child inside its own job
-/// kernel — migration traffic dominates and the dispatch vehicle is
+/// kernel — migration traffic dominates and inline VM execution is
 /// exercised on every shard.
 fn cluster_migration_storm(cfg: &ScenarioConfig) -> ScenarioRun {
     cluster_scenario(cfg, 4, 3, sharded::migration_storm)
@@ -614,8 +608,7 @@ fn cluster_migration_storm(cfg: &ScenarioConfig) -> ScenarioRun {
 /// job's VM kernel (entry registers resolving its slot pointer) and
 /// forks with the proven page set as the leaf-pull prefetch hint. The
 /// replica comparison covers the `[cluster]` traffic counters, so a
-/// hint that drifted across dispatch modes or replicas would surface
-/// as a byte diff.
+/// hint that drifted across replicas would surface as a byte diff.
 fn cluster_vm_prefetch(cfg: &ScenarioConfig) -> ScenarioRun {
     cluster_scenario(cfg, 4, 1_600, |c| sharded::vm_prefetch(c, true))
 }

@@ -1,25 +1,20 @@
 //! Conformance harness self-tests: replica conformance under chaos,
-//! canonical-serialization stability, cross-dispatch bundle equality,
-//! and divergence classification on seeded faults.
+//! canonical-serialization stability, and divergence classification
+//! on seeded faults.
 
-use det_conform::{
-    Artifacts, ConformConfig, DivergenceCategory, Scope, compare, conform_scenario,
-    cross_dispatch_check, find, registry,
-};
-use det_kernel::VmDispatch;
+use det_conform::{Artifacts, ConformConfig, DivergenceCategory, compare, conform_scenario, find};
 
-fn artifacts(name: &str, dispatch: VmDispatch) -> Artifacts {
+fn artifacts(name: &str) -> Artifacts {
     let sc = find(name).expect("registered");
     let run = (sc.run)(&det_conform::ScenarioConfig {
-        dispatch,
         trace: sc.traceable,
         faults: det_kernel::FaultPlan::default(),
     });
-    Artifacts::collect(sc.name, dispatch, &run)
+    Artifacts::collect(sc.name, &run)
 }
 
-/// A fast representative subset conforms at N=3 under chaos load, in
-/// both dispatch modes. (The full registry runs in CI via the
+/// A fast representative subset conforms at N=3 under chaos load.
+/// (The full registry runs in CI via the
 /// `conform` binary; keeping the in-tree test to a subset keeps
 /// `cargo test` snappy.)
 #[test]
@@ -36,11 +31,8 @@ fn replicas_conform_under_chaos() {
         "device_io",
         "shell_pipeline",
     ] {
-        let sc = find(name).expect("registered");
-        for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-            let r = conform_scenario(&sc, dispatch, &cfg);
-            assert!(r.conforms(), "{}", r.report());
-        }
+        let r = conform_scenario(&find(name).expect("registered"), &cfg);
+        assert!(r.conforms(), "{}", r.report());
     }
 }
 
@@ -50,29 +42,14 @@ fn replicas_conform_under_chaos() {
 #[test]
 fn serialization_is_byte_stable() {
     for name in ["quickstart_swap", "device_io", "vm_sandbox"] {
-        let a = artifacts(name, VmDispatch::Inline);
-        for scope in [Scope::Full, Scope::CrossDispatch] {
-            assert_eq!(
-                a.to_bytes(scope),
-                a.to_bytes(scope),
-                "{name}: serialize-twice must be byte-identical"
-            );
-        }
+        let a = artifacts(name);
+        assert_eq!(
+            a.to_bytes(),
+            a.to_bytes(),
+            "{name}: serialize-twice must be byte-identical"
+        );
         // And a bundle is equal to itself under compare().
-        assert!(compare(&a, &a, Scope::Full).is_none());
-    }
-}
-
-/// Inline and Threaded dispatch produce byte-identical bundles for
-/// every registered scenario once the vehicle-observability sections
-/// are excluded: the execution-vehicle policy must be invisible to
-/// the computation.
-#[test]
-fn cross_dispatch_bundles_identical_for_all_scenarios() {
-    for sc in registry() {
-        if let Some(d) = cross_dispatch_check(&sc) {
-            panic!("{}", d.report(sc.name, "inline", "threaded"));
-        }
+        assert!(compare(&a, &a).is_none());
     }
 }
 
@@ -81,15 +58,15 @@ fn cross_dispatch_bundles_identical_for_all_scenarios() {
 /// the first divergent byte.
 #[test]
 fn seeded_page_corruption_localizes() {
-    let a = artifacts("quickstart_swap", VmDispatch::Inline);
+    let a = artifacts("quickstart_swap");
     let mut b = a.clone();
     assert!(b.corrupt_page_digest(), "scenario has paged spaces");
-    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    let d = compare(&a, &b).expect("must diverge");
     assert_eq!(d.category, DivergenceCategory::PageContent, "{}", d.detail);
     assert!(d.detail.contains("page vpn="), "detail: {}", d.detail);
 
     // Independently recompute the first divergent byte.
-    let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+    let (ba, bb) = (a.to_bytes(), b.to_bytes());
     let expected = (0..ba.len().min(bb.len()))
         .find(|&i| ba[i] != bb[i])
         .expect("bytes differ");
@@ -103,10 +80,10 @@ fn seeded_page_corruption_localizes() {
 /// the exact first divergent offset.
 #[test]
 fn seeded_trace_reorder_localizes() {
-    let a = artifacts("rendezvous_storm", VmDispatch::Inline);
+    let a = artifacts("rendezvous_storm");
     let mut b = a.clone();
     assert!(b.reorder_trace(), "scenario records a trace");
-    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    let d = compare(&a, &b).expect("must diverge");
     assert_eq!(
         d.category,
         DivergenceCategory::ScheduleTrace,
@@ -115,26 +92,23 @@ fn seeded_trace_reorder_localizes() {
     );
     assert!(d.detail.contains("event 0"), "detail: {}", d.detail);
 
-    let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+    let (ba, bb) = (a.to_bytes(), b.to_bytes());
     let expected = (0..ba.len().min(bb.len()))
         .find(|&i| ba[i] != bb[i])
         .expect("bytes differ");
     assert_eq!(d.offset, expected);
-    // The reorder is invisible in cross-dispatch scope (trace
-    // excluded) — the computation itself did not change.
-    assert!(compare(&a, &b, Scope::CrossDispatch).is_none());
 }
 
 /// Stat drift (a counter bumped post-hoc) is classified as such and
 /// names the counter.
 #[test]
 fn seeded_stat_drift_localizes() {
-    let a = artifacts("device_io", VmDispatch::Inline);
+    let a = artifacts("device_io");
     let mut b = a.clone();
     b.stats.merges += 1;
     // The trace streams still agree, so classification falls through
     // to the stats section.
-    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    let d = compare(&a, &b).expect("must diverge");
     assert_eq!(d.category, DivergenceCategory::StatDrift, "{}", d.detail);
     assert!(d.detail.contains("merges"), "detail: {}", d.detail);
 }
@@ -143,14 +117,14 @@ fn seeded_stat_drift_localizes() {
 /// device output when everything upstream agrees.
 #[test]
 fn seeded_output_corruption_localizes() {
-    let a = artifacts("device_io", VmDispatch::Inline);
+    let a = artifacts("device_io");
     let mut b = a.clone();
     let data = b
         .outputs
         .get_mut(&det_kernel::DeviceId::ConsoleOut)
         .expect("scenario writes the console");
     data[0] ^= 0xff;
-    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    let d = compare(&a, &b).expect("must diverge");
     assert_eq!(d.category, DivergenceCategory::DeviceOutput, "{}", d.detail);
     assert!(d.detail.contains("byte 0"), "detail: {}", d.detail);
 }
@@ -163,7 +137,6 @@ fn untraceable_scenario_conforms() {
     assert!(!sc.traceable);
     let r = conform_scenario(
         &sc,
-        VmDispatch::Inline,
         &ConformConfig {
             replicas: 2,
             chaos: false,
@@ -171,7 +144,7 @@ fn untraceable_scenario_conforms() {
         },
     );
     assert!(r.conforms(), "{}", r.report());
-    let a = artifacts("dist_md5_tree", VmDispatch::Inline);
+    let a = artifacts("dist_md5_tree");
     assert!(a.trace_streams.is_none());
     assert!(!a.spaces.is_empty() || a.vclock_ns > 0);
 }

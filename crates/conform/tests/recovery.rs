@@ -1,20 +1,19 @@
 //! Crash-recovery conformance: kill a run at a deterministic fault
 //! point, restore from the latest restorable checkpoint, replay the
 //! trace suffix, and require the recovered bundle to be byte-identical
-//! (Scope::Full) to the uninterrupted run's.
+//! to the uninterrupted run's.
 //!
-//! The full registry × both dispatch modes runs in CI via
-//! `conform --recover`; the in-tree tests keep to representative
-//! subsets so `cargo test` stays snappy.
+//! The full registry runs in CI via `conform --recover`; the in-tree
+//! tests keep to representative subsets so `cargo test` stays snappy.
 
 use det_conform::{
     ConformConfig, ScenarioConfig, conform_scenario, crash_recovery_check, find, root_syscalls,
 };
-use det_kernel::{FaultPlan, VmDispatch};
+use det_kernel::FaultPlan;
 
-/// Kill-at-midpoint recovery conforms for a representative subset in
-/// both dispatch modes: native spaces, VM spaces, heavy rendezvous,
-/// device I/O, and a real workload.
+/// Kill-at-midpoint recovery conforms for a representative subset:
+/// native spaces, VM spaces, heavy rendezvous, device I/O, and a real
+/// workload.
 #[test]
 fn crash_recovery_conforms_for_representative_subset() {
     for name in [
@@ -24,11 +23,8 @@ fn crash_recovery_conforms_for_representative_subset() {
         "device_io",
         "wl_md5",
     ] {
-        let sc = find(name).expect("registered");
-        for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-            let r = crash_recovery_check(&sc, dispatch, None);
-            assert!(r.conforms(), "{}", r.report());
-        }
+        let r = crash_recovery_check(&find(name).expect("registered"), None);
+        assert!(r.conforms(), "{}", r.report());
     }
 }
 
@@ -41,11 +37,11 @@ fn crash_recovery_conforms_for_representative_subset() {
 #[test]
 fn crash_recovery_conforms_at_every_kill_point() {
     let sc = find("quickstart_swap").expect("registered");
-    let oracle = (sc.run)(&ScenarioConfig::traced(VmDispatch::Inline));
+    let oracle = (sc.run)(&ScenarioConfig::traced());
     let total = root_syscalls(oracle.trace.as_ref().expect("traceable"));
     assert!(total > 2, "scenario too small to sweep");
     for kill in 0..total {
-        let r = crash_recovery_check(&sc, VmDispatch::Inline, Some(kill));
+        let r = crash_recovery_check(&sc, Some(kill));
         assert!(r.conforms(), "kill@{kill}: {}", r.report());
     }
 }
@@ -62,10 +58,8 @@ fn injected_device_failure_is_deterministic() {
         chaos: false,
         faults: plan,
     };
-    for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-        let r = conform_scenario(&sc, dispatch, &cfg);
-        assert!(r.conforms(), "{}", r.report());
-    }
+    let r = conform_scenario(&sc, &cfg);
+    assert!(r.conforms(), "{}", r.report());
 }
 
 /// An injected allocation failure at a Put is also replica-stable.
@@ -78,6 +72,6 @@ fn injected_alloc_failure_is_deterministic() {
         chaos: false,
         faults: plan,
     };
-    let r = conform_scenario(&sc, VmDispatch::Inline, &cfg);
+    let r = conform_scenario(&sc, &cfg);
     assert!(r.conforms(), "{}", r.report());
 }

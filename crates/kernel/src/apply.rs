@@ -28,8 +28,8 @@ use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::ids::ChildNum;
 use crate::state::{
-    KSlot, KState, ProgramKind, RunState, SpaceState, StopCounter, VmDispatch, check_in_charge,
-    child_path, observe_stop, stop_counter,
+    KSlot, KState, ProgramKind, RunState, SpaceState, StopCounter, check_in_charge, child_path,
+    observe_stop, stop_counter,
 };
 use crate::syscall::{CopySpec, GetSpec, PutSpec, StartSpec, StopReason};
 
@@ -226,12 +226,10 @@ pub enum TraceEvent {
 /// returns these as data and performs none of them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Effect {
-    /// Create an execution vehicle for a fresh program.
+    /// Create an execution vehicle for a fresh native program.
     SpawnVehicle {
         /// The space to run.
         space: u32,
-        /// What kind of program the vehicle drives.
-        program: ProgramKind,
     },
     /// Mark an inline VM space runnable (it executes when next waited
     /// on).
@@ -297,7 +295,7 @@ pub(crate) enum InstallAction {
 
 /// Whether a program may be installed over a child stopped as `was`
 /// (a resumable stop is a *live* child; installing over it is an
-/// error, identically in every dispatch mode).
+/// error).
 pub(crate) fn install_action(was: StopReason, terminal: bool) -> Result<InstallAction> {
     match was {
         StopReason::Unstarted => Ok(InstallAction::Fresh),
@@ -408,8 +406,8 @@ pub(crate) fn stamp_start(st: &mut SpaceState, parent_vclock_ps: u64, limit_ns: 
 /// How a `Start` dispatches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum StartAction {
-    /// Fresh program, needs a vehicle.
-    Spawn(ProgramKind),
+    /// Fresh native program, needs a vehicle.
+    Spawn,
     /// Fresh inline VM program: becomes runnable, no vehicle.
     RunnableInline,
     /// Parked inline VM space: becomes runnable again.
@@ -423,7 +421,6 @@ pub(crate) enum StartAction {
 /// (matching the live take-before-decide order, so a failed fresh
 /// start consumes the pending program exactly as the shell does).
 pub(crate) fn start_action(
-    dispatch: VmDispatch,
     has_vehicle: bool,
     inline_vm: bool,
     pending: Option<ProgramKind>,
@@ -432,8 +429,8 @@ pub(crate) fn start_action(
 ) -> Result<StartAction> {
     if !has_vehicle && !inline_vm {
         match pending.ok_or(KernelError::NoProgram)? {
-            ProgramKind::Vm if dispatch == VmDispatch::Inline => Ok(StartAction::RunnableInline),
-            kind => Ok(StartAction::Spawn(kind)),
+            ProgramKind::Vm => Ok(StartAction::RunnableInline),
+            ProgramKind::Native => Ok(StartAction::Spawn),
         }
     } else if !prior.resumable() || terminal {
         Err(KernelError::NoProgram)
@@ -687,7 +684,6 @@ fn apply_put(
             cst.vclock_ps
         };
         stamp_start(state_mut(ks, child_id)?, parent_v, s.limit_ns);
-        let dispatch = ks.vm_dispatch;
         let action = {
             let k = slot_mut(ks, child_id)?;
             let pending = if !k.has_vehicle && !k.inline_vm {
@@ -695,25 +691,15 @@ fn apply_put(
             } else {
                 k.pending
             };
-            start_action(
-                dispatch,
-                k.has_vehicle,
-                k.inline_vm,
-                pending,
-                was,
-                k.terminal,
-            )
+            start_action(k.has_vehicle, k.inline_vm, pending, was, k.terminal)
         };
         match action {
-            Ok(StartAction::Spawn(kind)) => {
+            Ok(StartAction::Spawn) => {
                 let k = slot_mut(ks, child_id)?;
                 k.run = RunState::Running;
                 k.has_vehicle = true;
                 ks.stats.threads_spawned += 1;
-                effects.push(Effect::SpawnVehicle {
-                    space: child_id,
-                    program: kind,
-                });
+                effects.push(Effect::SpawnVehicle { space: child_id });
             }
             Ok(StartAction::RunnableInline) => {
                 let k = slot_mut(ks, child_id)?;
@@ -1066,87 +1052,38 @@ mod tests {
     #[test]
     fn start_action_dispatch_table() {
         use StartAction::*;
+        let unstarted = StopReason::Unstarted;
         // Fresh program, no vehicle yet.
+        let vm = Some(ProgramKind::Vm);
         assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                false,
-                false,
-                Some(ProgramKind::Vm),
-                StopReason::Unstarted,
-                false
-            ),
+            start_action(false, false, vm, unstarted, false),
             Ok(RunnableInline)
         );
+        let native = Some(ProgramKind::Native);
         assert_eq!(
-            start_action(
-                VmDispatch::Threaded,
-                false,
-                false,
-                Some(ProgramKind::Vm),
-                StopReason::Unstarted,
-                false
-            ),
-            Ok(Spawn(ProgramKind::Vm))
+            start_action(false, false, native, unstarted, false),
+            Ok(Spawn)
         );
         assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                false,
-                false,
-                Some(ProgramKind::Native),
-                StopReason::Unstarted,
-                false
-            ),
-            Ok(Spawn(ProgramKind::Native))
-        );
-        assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                false,
-                false,
-                None,
-                StopReason::Unstarted,
-                false
-            ),
+            start_action(false, false, None, unstarted, false),
             Err(KernelError::NoProgram)
         );
         // Resumes.
+        let ret = StopReason::Ret;
         assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                true,
-                false,
-                None,
-                StopReason::Ret,
-                false
-            ),
+            start_action(true, false, None, ret, false),
             Ok(ResumeVehicle)
         );
         assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                false,
-                true,
-                None,
-                StopReason::Ret,
-                false
-            ),
+            start_action(false, true, None, ret, false),
             Ok(ResumeInline)
         );
         assert_eq!(
-            start_action(
-                VmDispatch::Inline,
-                true,
-                false,
-                None,
-                StopReason::Halted,
-                false
-            ),
+            start_action(true, false, None, StopReason::Halted, false),
             Err(KernelError::NoProgram)
         );
         assert_eq!(
-            start_action(VmDispatch::Inline, true, false, None, StopReason::Ret, true),
+            start_action(true, false, None, ret, true),
             Err(KernelError::NoProgram)
         );
     }

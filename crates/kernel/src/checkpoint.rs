@@ -54,13 +54,13 @@ use crate::hex::{hex, unhex};
 use crate::state::{KSlot, KState, RunState, SpaceState};
 use crate::stats::KernelStats;
 use crate::trace::{
-    ReplayOutcome, Trace, TraceMeta, obj, outcome_of, p_delta, p_dispatch, p_exit, p_opt, p_policy,
-    p_program_kind, p_regs, p_stop, req, tag, v_delta, v_dispatch, v_exit, v_opt, v_policy,
-    v_program_kind, v_regs, v_stop,
+    ReplayOutcome, Trace, TraceMeta, obj, outcome_of, p_delta, p_exit, p_opt, p_policy,
+    p_program_kind, p_regs, p_stop, req, tag, v_delta, v_exit, v_opt, v_policy, v_program_kind,
+    v_regs, v_stop,
 };
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "detckpt";
 
@@ -135,8 +135,8 @@ impl Checkpoint {
     /// The canonical byte encoding: one ASCII header line
     /// (`detckpt <version> <digest>`), then the JSON payload.
     ///
-    /// Byte-stable: two captures of the same trace prefix — in either
-    /// VM dispatch mode — produce identical bytes.
+    /// Byte-stable: two captures of the same trace prefix produce
+    /// identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         format!(
             "{MAGIC} {} {:016x}\n{}",
@@ -260,7 +260,6 @@ impl RestoredKernel {
         TraceMeta {
             costs: self.ks.costs,
             policy: self.ks.policy,
-            vm_dispatch: self.ks.vm_dispatch,
         }
     }
 
@@ -356,7 +355,7 @@ impl Checkpointer {
     /// before the first event.
     pub fn new(meta: &TraceMeta) -> Checkpointer {
         Checkpointer {
-            ks: KState::new(meta.costs, meta.policy, meta.vm_dispatch),
+            ks: KState::new(meta.costs, meta.policy),
             fed: 0,
             captures: 0,
             parent: None,
@@ -677,7 +676,6 @@ fn v_kstate(
             obj(vec![
                 ("costs", ks.costs.to_value()),
                 ("policy", v_policy(ks.policy)),
-                ("vm_dispatch", v_dispatch(ks.vm_dispatch)),
             ]),
         ),
         ("slots", Value::Array(slots)),
@@ -694,7 +692,6 @@ fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeE
     let mv = req(v, "meta")?;
     let costs = field(mv, "costs")?;
     let policy = p_policy(req(mv, "policy")?)?;
-    let vm_dispatch = p_dispatch(req(mv, "vm_dispatch")?)?;
     let mut slots = BTreeMap::new();
     match req(v, "slots")? {
         Value::Array(items) => {
@@ -732,7 +729,6 @@ fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeE
     Ok(KState {
         costs,
         policy,
-        vm_dispatch,
         slots,
         stats,
         outputs,
@@ -751,7 +747,6 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::default(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             events: Vec::new(),
         };
@@ -773,16 +768,19 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::zero(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             events: Vec::new(),
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
         let text = String::from_utf8(bytes).unwrap();
-        let stale = text.replacen("detckpt 1 ", "detckpt 999 ", 1);
+        // Version 1 bundles still carried the removed `vm_dispatch`
+        // meta key; they are rejected before anything is parsed.
+        let current = format!("{MAGIC} {CHECKPOINT_FORMAT_VERSION} ");
+        let stale = text.replacen(&current, "detckpt 1 ", 1);
+        assert_ne!(stale, text);
         match Checkpoint::from_bytes(stale.as_bytes()) {
             Err(KernelError::CheckpointVersion { found, supported }) => {
-                assert_eq!(found, 999);
+                assert_eq!(found, 1);
                 assert_eq!(supported, CHECKPOINT_FORMAT_VERSION);
             }
             other => panic!("expected version error, got {other:?}"),
@@ -857,7 +855,6 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::zero(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             // 0: snap-put, 1: plain get, 2: merge-get, 3: plain put.
             events: vec![put(true), get(false), get(true), put(false)],

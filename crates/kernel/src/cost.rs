@@ -31,8 +31,8 @@ pub struct CostModel {
     /// Cost a space pays to park at a rendezvous (`Ret`, a trap, or a
     /// limit preemption): checking its state in and handing control to
     /// the waiting side. Charged once per resumable check-in,
-    /// regardless of how the host dispatches the space (threaded or
-    /// inline), so virtual time is execution-vehicle-invariant.
+    /// regardless of which host thread executed the space, so virtual
+    /// time is execution-vehicle-invariant.
     pub rendezvous_ps: u64,
     /// Per-page cost of copy-on-write mapping (zero-fill, and the
     /// boundary pages a virtual copy walks individually).

@@ -931,7 +931,7 @@ impl SpaceCtx {
     ///
     /// The mark carries no payload: the checkpoint *bundle* is captured
     /// from the recorded trace (see [`crate::Checkpoint`]), which keeps
-    /// the bundle byte-stable across dispatch modes. Returns the
+    /// the bundle byte-stable across host schedules. Returns the
     /// dirty-leaf count the charge was based on.
     pub fn checkpoint(&mut self) -> Result<u64> {
         if self.id != SpaceId::ROOT {

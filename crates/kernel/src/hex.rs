@@ -1,6 +1,8 @@
 //! The one hex codec of the trace and checkpoint encodings: byte
 //! strings ride their JSON as lowercase hex. Both directions are table
-//! lookups; the decoder also takes uppercase digits.
+//! lookups; the decoder also takes uppercase digits. The encoder,
+//! [`to_hex`], is public so the conformance and cluster bundles render
+//! device outputs with the same digits.
 
 use serde::{DeError, Value};
 
@@ -18,14 +20,19 @@ const NIBBLE: [u8; 256] = {
     t
 };
 
-/// Encodes `bytes` as a lowercase hex string value.
-pub(crate) fn hex(bytes: &[u8]) -> Value {
+/// Encodes `bytes` as a lowercase hex string.
+pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = Vec::with_capacity(bytes.len() * 2);
     for &b in bytes {
         s.push(DIGITS[(b >> 4) as usize]);
         s.push(DIGITS[(b & 0xf) as usize]);
     }
-    Value::Str(String::from_utf8(s).expect("hex digits are ascii"))
+    String::from_utf8(s).expect("hex digits are ascii")
+}
+
+/// Encodes `bytes` as a lowercase hex string value.
+pub(crate) fn hex(bytes: &[u8]) -> Value {
+    Value::Str(to_hex(bytes))
 }
 
 /// Decodes a hex string value produced by [`hex`].

@@ -20,8 +20,7 @@
 //! Host threads are *execution vehicles only*: all cross-space
 //! communication is kernel-mediated, so results are independent of how
 //! the host schedules (or lends) the vehicles — tests assert this
-//! empirically, including equality between inline and threaded VM
-//! dispatch.
+//! empirically under perturbed host schedules.
 
 use std::collections::BTreeMap;
 use std::panic::{AssertUnwindSafe, catch_unwind};
@@ -94,8 +93,6 @@ pub trait ClusterHooks: Send + Sync {
     }
 }
 
-pub use crate::state::VmDispatch;
-
 /// Kernel construction parameters.
 ///
 /// Construct via [`KernelConfig::builder`] (the struct is
@@ -110,8 +107,6 @@ pub struct KernelConfig {
     pub policy: ConflictPolicy,
     /// Record or replay nondeterministic inputs.
     pub io: IoMode,
-    /// Execution-vehicle policy for VM spaces.
-    pub vm_dispatch: VmDispatch,
     /// When set, the kernel records every syscall-level transition into
     /// this sink; the resulting [`crate::Trace`] replays without any
     /// execution vehicles. Incompatible with cluster hooks.
@@ -128,11 +123,9 @@ impl KernelConfig {
     /// # Examples
     ///
     /// ```
-    /// use det_kernel::{KernelConfig, VmDispatch};
-    /// let cfg = KernelConfig::builder()
-    ///     .vm_dispatch(VmDispatch::Threaded)
-    ///     .build();
-    /// assert_eq!(cfg.vm_dispatch, VmDispatch::Threaded);
+    /// use det_kernel::{CostModel, KernelConfig};
+    /// let cfg = KernelConfig::builder().costs(CostModel::zero()).build();
+    /// assert_eq!(cfg.costs, CostModel::zero());
     /// ```
     pub fn builder() -> KernelConfigBuilder {
         KernelConfigBuilder {
@@ -164,12 +157,6 @@ impl KernelConfigBuilder {
     /// Sets the nondeterministic-input mode (record or replay).
     pub fn io(mut self, io: IoMode) -> Self {
         self.config.io = io;
-        self
-    }
-
-    /// Sets the execution-vehicle policy for VM spaces.
-    pub fn vm_dispatch(mut self, vm_dispatch: VmDispatch) -> Self {
-        self.config.vm_dispatch = vm_dispatch;
         self
     }
 
@@ -453,7 +440,6 @@ pub(crate) struct Shared {
     pub costs: CostModel,
     pub policy: ConflictPolicy,
     pub cluster: Option<Arc<dyn ClusterHooks>>,
-    pub vm_dispatch: VmDispatch,
     /// Lock-free hot-path counters (folded into the outcome's
     /// [`KernelStats`] at collection time).
     pub hot: HotStats,
@@ -510,11 +496,12 @@ impl Shared {
 
     /// Checks a stopped space's state into its (locked) slot.
     ///
-    /// All rendezvous accounting funnels through here, for both
-    /// threaded and inline vehicles: stats count only stops that
-    /// actually materialized (a destroyed slot never reaches this
+    /// All rendezvous accounting funnels through here, for native
+    /// vehicles and inline VM drives alike: stats count only stops
+    /// that actually materialized (a destroyed slot never reaches this
     /// point), and resumable stops are charged the park/handoff cost
-    /// so virtual time is identical across dispatch modes.
+    /// so virtual time does not depend on which host thread ran the
+    /// space.
     fn check_in_locked(&self, slot: &mut Slot, mut st: Box<SpaceState>, reason: StopReason) {
         match stop_counter(reason) {
             Some(StopCounter::Ret) => {
@@ -695,7 +682,6 @@ impl Shared {
         // The *decision* is the pure core's (`start_action` is also what
         // replay runs); this shell only realizes it with host vehicles.
         let action = start_action(
-            self.vm_dispatch,
             g.thread.is_some(),
             g.inline_vm,
             g.pending.as_ref().map(Program::kind),
@@ -712,11 +698,10 @@ impl Shared {
                 g.run = RunState::Runnable;
                 self.set_trace_base(g);
             }
-            StartAction::Spawn(_) => {
-                let program = g
-                    .pending
-                    .take()
-                    .expect("start_action saw a pending program");
+            StartAction::Spawn => {
+                let Some(Program::Native(entry)) = g.pending.take() else {
+                    unreachable!("start_action spawns only a pending native program")
+                };
                 let st = g.state.take().expect("checked above");
                 g.run = RunState::Running;
                 self.hot.threads_spawned.fetch_add(1, Relaxed);
@@ -724,10 +709,7 @@ impl Shared {
                 let cell2 = Arc::clone(cell);
                 let handle = std::thread::Builder::new()
                     .name(format!("space-{}", child.0))
-                    .spawn(move || match program {
-                        Program::Native(entry) => native_thread(shared, cell2, child, entry, st),
-                        Program::Vm => vm_thread(shared, cell2, child, st),
-                    });
+                    .spawn(move || native_thread(shared, cell2, child, entry, st));
                 match handle {
                     Ok(h) => g.thread = Some(h),
                     Err(_) => {
@@ -892,7 +874,6 @@ impl Kernel {
             sink.set_meta(TraceMeta {
                 costs: config.costs,
                 policy: config.policy,
-                vm_dispatch: config.vm_dispatch,
             });
         }
         let root = SlotCell::new(Slot::new_child(0, ROOT_PATH.to_string()));
@@ -903,7 +884,6 @@ impl Kernel {
                 costs: config.costs,
                 policy: config.policy,
                 cluster,
-                vm_dispatch: config.vm_dispatch,
                 hot: HotStats::default(),
                 merge_accum: Mutex::new(MergeAccum::default()),
                 trace: config.trace,
@@ -1088,8 +1068,7 @@ fn native_thread(
 /// stops. Returns the stop reason — or `None` iff kernel shutdown was
 /// observed mid-run (the caller unwinds and the state dies with the
 /// kernel) — plus this drive's counters, already folded into the hot
-/// stats exactly once. Used by both vehicles: the slot's own thread
-/// ([`vm_thread`]) and the waiting parent (inline dispatch).
+/// stats exactly once. Runs on the waiting parent's thread.
 fn vm_execute(
     shared: &Shared,
     id: SpaceId,
@@ -1197,61 +1176,6 @@ fn vm_execute_inner(
             }
         }
         return Some(reason);
-    }
-}
-
-/// Dedicated-thread vehicle for a VM space (`VmDispatch::Threaded`).
-fn vm_thread(shared: Arc<Shared>, cell: Arc<SlotCell>, id: SpaceId, st: Box<SpaceState>) {
-    // Contain interpreter panics exactly like `native_thread` contains
-    // program panics: the state is lost inside the unwound closure, but
-    // the slot must still leave `Running` as a terminal deterministic
-    // trap — a vehicle dying silently would strand its waiting parent,
-    // and an unwound thread would take every descendant down with it.
-    let sh = Arc::clone(&shared);
-    let c = Arc::clone(&cell);
-    if catch_unwind(AssertUnwindSafe(move || vm_drive(shared, cell, id, st))).is_err() {
-        let reason = StopReason::Trap(TrapKind::Panic);
-        let ev = sh
-            .trace
-            .as_ref()
-            .map(|_| lost_state_check_in(id, final_reason(false, reason)));
-        sh.final_check_in(&c, None, reason, ev);
-    }
-}
-
-fn vm_drive(shared: Arc<Shared>, cell: Arc<SlotCell>, id: SpaceId, mut st: Box<SpaceState>) {
-    // One CPU for the space's lifetime: caches stay warm across
-    // preemptions and rendezvous.
-    let mut cpu = Cpu::new();
-    // Thread-local trace cursor, resynced after every park: the parent
-    // may have rewritten this space's memory (and snapshot) at the
-    // rendezvous, and replay re-applies those from the parent's events.
-    let mut tr = shared.trace.as_ref().map(|_| TraceCtx::new(&st));
-    loop {
-        let (stop, vmc) = vm_execute(&shared, id, &mut st, &mut cpu);
-        match stop {
-            // Shutdown observed: the state dies with the kernel.
-            None => return,
-            Some(StopReason::Halted) => {
-                let ev = tr
-                    .as_ref()
-                    .map(|tr| tr.check_in(id, &st, StopReason::Halted, true, vmc));
-                shared.final_check_in(&cell, Some(st), StopReason::Halted, ev);
-                return;
-            }
-            Some(reason) => {
-                let ev = tr
-                    .as_ref()
-                    .map(|tr| tr.check_in(id, &st, reason, false, vmc));
-                st = match shared.park(&cell, st, reason, ev) {
-                    Ok(st) => st,
-                    Err(_) => return,
-                };
-                if let Some(tr) = tr.as_mut() {
-                    tr.resync(&st);
-                }
-            }
-        }
     }
 }
 

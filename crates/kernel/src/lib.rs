@@ -100,9 +100,10 @@ pub use ctx::{SpaceCtx, full_user_region};
 pub use device::{DeviceId, InputEvent, IoLog, IoMode};
 pub use error::{KernelError, Result, TrapKind};
 pub use fault::{Fault, FaultAction, FaultPlan, FaultSite};
+pub use hex::to_hex;
 pub use ids::{ChildNum, NODE_SHIFT, SpaceId, child_index, child_on_node, node_field};
 pub use kernel::{
-    ClusterHooks, InputHandle, Kernel, KernelConfig, KernelConfigBuilder, RunOutcome, VmDispatch,
+    ClusterHooks, InputHandle, Kernel, KernelConfig, KernelConfigBuilder, RunOutcome,
 };
 pub use program::{NativeEntry, NativeResult, Program};
 pub use state::ProgramKind;

@@ -5,11 +5,14 @@ use serde::{Deserialize, Serialize};
 
 /// Counts of kernel operations over a run.
 ///
-/// These are *host-side observability*: they are returned in
-/// [`crate::RunOutcome`], not exposed to unprivileged spaces (their
-/// instantaneous values depend on host scheduling, which spaces must
-/// not observe). The benchmark harness uses them to report the real
-/// operation counts behind every virtual-time figure.
+/// Every field is deterministic: its final value is a pure function
+/// of the kernel-mediated event history, so trace replay, checkpoint
+/// restore and the conformance harness compare the whole vector
+/// byte-for-byte. The counters are returned in [`crate::RunOutcome`]
+/// and not exposed to unprivileged spaces (only their *final* values
+/// are deterministic; a space sampling them mid-run would observe
+/// other spaces' progress). The benchmark harness uses them to report
+/// the real operation counts behind every virtual-time figure.
 #[derive(Clone, PartialEq, Eq, Default, Debug, Serialize, Deserialize)]
 pub struct KernelStats {
     /// `Put` calls.

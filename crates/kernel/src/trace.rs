@@ -30,7 +30,7 @@ use crate::cost::{CostModel, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::hex::{hex, unhex};
-use crate::state::{KState, ProgramKind, RunState, SpaceState, VmDispatch};
+use crate::state::{KState, ProgramKind, RunState, SpaceState};
 use crate::stats::KernelStats;
 use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
 
@@ -97,8 +97,6 @@ pub struct TraceMeta {
     pub costs: CostModel,
     /// Default merge conflict policy.
     pub policy: ConflictPolicy,
-    /// VM dispatch mode (affects vehicle-observability counters).
-    pub vm_dispatch: VmDispatch,
 }
 
 /// A recorded run: parameters plus the full event sequence.
@@ -211,7 +209,7 @@ impl Trace {
     /// or forged); errors the recorded programs observed live are part
     /// of history and replay silently.
     pub fn replay(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy, self.meta.vm_dispatch);
+        let mut ks = KState::new(self.meta.costs, self.meta.policy);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -228,7 +226,7 @@ impl Trace {
     /// exit status. Structural divergence still fails — a crash
     /// truncates a trace, it never corrupts it.
     pub fn replay_prefix(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy, self.meta.vm_dispatch);
+        let mut ks = KState::new(self.meta.costs, self.meta.policy);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -394,27 +392,6 @@ pub(crate) fn p_policy(v: &Value) -> std::result::Result<ConflictPolicy, DeError
             _ => Err(DeError::msg("unknown conflict policy")),
         },
         _ => Err(DeError::msg("expected conflict policy string")),
-    }
-}
-
-pub(crate) fn v_dispatch(d: VmDispatch) -> Value {
-    Value::Str(
-        match d {
-            VmDispatch::Inline => "inline",
-            VmDispatch::Threaded => "threaded",
-        }
-        .to_string(),
-    )
-}
-
-pub(crate) fn p_dispatch(v: &Value) -> std::result::Result<VmDispatch, DeError> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "inline" => Ok(VmDispatch::Inline),
-            "threaded" => Ok(VmDispatch::Threaded),
-            _ => Err(DeError::msg("unknown vm dispatch mode")),
-        },
-        _ => Err(DeError::msg("expected vm dispatch string")),
     }
 }
 
@@ -890,7 +867,6 @@ impl Serialize for Trace {
                 obj(vec![
                     ("costs", self.meta.costs.to_value()),
                     ("policy", v_policy(self.meta.policy)),
-                    ("vm_dispatch", v_dispatch(self.meta.vm_dispatch)),
                 ]),
             ),
             (
@@ -907,7 +883,6 @@ impl Deserialize for Trace {
         let meta = TraceMeta {
             costs: field(mv, "costs")?,
             policy: p_policy(req(mv, "policy")?)?,
-            vm_dispatch: p_dispatch(req(mv, "vm_dispatch")?)?,
         };
         let events = match req(v, "events")? {
             Value::Array(items) => items
@@ -930,7 +905,6 @@ mod tests {
             meta: TraceMeta {
                 costs: CostModel::default(),
                 policy: ConflictPolicy::Strict,
-                vm_dispatch: VmDispatch::Inline,
             },
             events: vec![
                 TraceEvent::Put {
@@ -1051,7 +1025,6 @@ mod tests {
             meta: TraceMeta {
                 costs: CostModel::zero(),
                 policy: ConflictPolicy::Strict,
-                vm_dispatch: VmDispatch::Inline,
             },
             events: Vec::new(),
         };
@@ -1060,5 +1033,29 @@ mod tests {
             trace.replay(),
             Err(KernelError::ReplayDivergence(_))
         ));
+    }
+
+    /// Traces written before VM spaces lost their vehicle choice carry
+    /// a `vm_dispatch` meta key. Decoding ignores it — whatever its
+    /// value — and yields a typed result, never a panic.
+    #[test]
+    fn legacy_vm_dispatch_key_decodes() {
+        let trace = Trace {
+            meta: TraceMeta {
+                costs: CostModel::zero(),
+                policy: ConflictPolicy::Strict,
+            },
+            events: Vec::new(),
+        };
+        let json = trace.to_json();
+        for legacy in [r#""inline""#, r#""threaded""#, "7", "null"] {
+            let old = json.replacen(
+                r#""policy":"#,
+                &format!(r#""vm_dispatch":{legacy},"policy":"#),
+                1,
+            );
+            assert_ne!(old, json);
+            assert_eq!(Trace::from_json(&old).unwrap(), trace, "{legacy}");
+        }
     }
 }

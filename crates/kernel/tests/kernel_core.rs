@@ -3,7 +3,6 @@
 use det_kernel::{
     ConflictPolicy, CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, KernelError,
     MemError, Perm, Program, PutSpec, Region, Regs, RunOutcome, SpaceCtx, StopReason, TrapKind,
-    VmDispatch,
 };
 
 fn kernel() -> Kernel {
@@ -1007,31 +1006,23 @@ fn resume_after_terminal_native_trap_fails_cleanly() {
     assert_eq!(out.exit, Ok(0));
 }
 
-/// Shutdown must join draining vehicles *before* collecting counters:
-/// a threaded VM child left unjoined at root exit still retires its
-/// whole program, and the outcome must include every instruction —
-/// exactly as many as a fully joined run retires.
+/// The lazy-inline contract: a started VM child that nobody waits on
+/// is never driven. It retires no instruction (its program would spin
+/// forever), shutdown does not hang on it, and the abandoned child
+/// leaves the outcome exactly reproducible.
 #[test]
-fn shutdown_collects_draining_thread_counters() {
+fn unwaited_vm_child_retires_nothing() {
     let image = det_vm::assemble(
         "
-        ldi r2, 0
-        li  r6, 500
     loop:
         addi r2, r2, 1
-        blt r2, r6, loop
-        halt
+        beq r0, r0, loop
         ",
     )
     .unwrap();
-    let run = |join: bool| {
+    let run = || {
         let image = image.clone();
-        Kernel::new(
-            KernelConfig::builder()
-                .vm_dispatch(VmDispatch::Threaded)
-                .build(),
-        )
-        .run(move |ctx| {
+        kernel().run(move |ctx| {
             ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
             ctx.mem_mut().write(0, &image.bytes)?;
             ctx.put(
@@ -1042,18 +1033,18 @@ fn shutdown_collects_draining_thread_counters() {
                     .regs(Regs::at_entry(0))
                     .start(),
             )?;
-            if join {
-                ctx.get(0, GetSpec::new())?;
-            }
-            Ok(0)
+            Ok(0) // Exit without ever waiting on the child.
         })
     };
-    let joined = run(true);
-    let drained = run(false);
-    assert!(joined.stats.vm_instructions > 500);
+    let first = run();
+    assert_eq!(first.exit, Ok(0));
+    assert_eq!(first.stats.vm_instructions, 0);
+    assert_eq!(first.stats.vm_inline_runs, 0);
+    assert_eq!(first.stats.threads_spawned, 0);
+    let second = run();
     assert_eq!(
-        drained.stats.vm_instructions, joined.stats.vm_instructions,
-        "draining thread's retired instructions were dropped from the outcome"
+        (second.exit, second.vclock_ns, &second.stats),
+        (first.exit, first.vclock_ns, &first.stats)
     );
 }
 
@@ -1164,11 +1155,10 @@ fn vm_inline_rendezvous_issues_no_wakeups() {
 }
 
 /// Installing a program over a child parked at a *resumable* trap is
-/// `ChildActive` under every dispatch mode alike — the live program
-/// (a parked thread, or an inline VM state) must not be replaced out
+/// `ChildActive` — the live inline VM state must not be replaced out
 /// from under a possible resume.
 #[test]
-fn program_replacement_over_resumable_trap_is_child_active_in_both_modes() {
+fn program_replacement_over_resumable_trap_is_child_active() {
     let image = det_vm::assemble(
         "
         ldi r1, 1
@@ -1178,89 +1168,25 @@ fn program_replacement_over_resumable_trap_is_child_active_in_both_modes() {
         ",
     )
     .unwrap();
-    for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-        let image = image.clone();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
-                ctx.mem_mut().write(0, &image.bytes)?;
-                ctx.put(
-                    0,
-                    PutSpec::new()
-                        .program(Program::Vm)
-                        .copy(CopySpec::mirror(Region::new(0, 0x1000)))
-                        .regs(Regs::at_entry(0))
-                        .start(),
-                )?;
-                let r = ctx.get(0, GetSpec::new())?;
-                assert_eq!(r.stop, StopReason::Trap(TrapKind::DivideByZero));
-                match ctx.put(0, PutSpec::new().program(Program::Vm)) {
-                    Err(KernelError::ChildActive) => Ok(0),
-                    other => panic!("expected ChildActive under {dispatch:?}, got {other:?}"),
-                }
-            });
-        assert_eq!(out.exit, Ok(0), "{dispatch:?}");
-    }
-}
-
-/// Inline and threaded VM dispatch are observationally identical:
-/// same results, same deterministic counters, same virtual time.
-#[test]
-fn vm_dispatch_modes_agree() {
-    let image = det_vm::assemble(
-        "
-        ldi r1, 0
-        li  r5, 0x2000
-    loop:
-        addi r1, r1, 1
-        std r1, [r5+0]
-        sys 0
-        li  r6, 5
-        blt r1, r6, loop
-        halt
-        ",
-    )
-    .unwrap();
-    let run = |dispatch: VmDispatch| {
-        let image = image.clone();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
-                ctx.mem_mut().write(0, &image.bytes)?;
-                ctx.put(
-                    0,
-                    PutSpec::new()
-                        .program(Program::Vm)
-                        .copy(CopySpec::mirror(Region::new(0, 0x3000)))
-                        .regs(Regs::at_entry(0))
-                        .start(),
-                )?;
-                loop {
-                    let r = ctx.get(
-                        0,
-                        GetSpec::new().copy(CopySpec {
-                            src: Region::new(0x2000, 0x3000),
-                            dst: 0x8000,
-                        }),
-                    )?;
-                    match r.stop {
-                        StopReason::Ret => ctx.put(0, PutSpec::new().start())?,
-                        StopReason::Halted => break,
-                        other => panic!("unexpected stop {other:?}"),
-                    };
-                }
-                Ok(ctx.mem().content_digest().value() as i32)
-            });
-        (
-            out.exit,
-            out.vclock_ns,
-            out.stats.vm_instructions,
-            out.stats.rets,
-            out.stats.puts,
-            out.stats.gets,
-        )
-    };
-    assert_eq!(run(VmDispatch::Inline), run(VmDispatch::Threaded));
+    let out = kernel().run(move |ctx| {
+        ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
+        ctx.mem_mut().write(0, &image.bytes)?;
+        ctx.put(
+            0,
+            PutSpec::new()
+                .program(Program::Vm)
+                .copy(CopySpec::mirror(Region::new(0, 0x1000)))
+                .regs(Regs::at_entry(0))
+                .start(),
+        )?;
+        let r = ctx.get(0, GetSpec::new())?;
+        assert_eq!(r.stop, StopReason::Trap(TrapKind::DivideByZero));
+        match ctx.put(0, PutSpec::new().program(Program::Vm)) {
+            Err(KernelError::ChildActive) => Ok(0),
+            other => panic!("expected ChildActive, got {other:?}"),
+        }
+    });
+    assert_eq!(out.exit, Ok(0));
 }
 
 /// The fused `PutGet` exchange: applies the Put at the current stop,

@@ -9,7 +9,7 @@
 
 use det_kernel::{
     CopySpec, DeviceId, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region,
-    RunOutcome, StopReason, Trace, TraceSink, VmDispatch,
+    RunOutcome, StopReason, Trace, TraceSink,
 };
 use det_memory::Perm;
 use det_vm::Regs;
@@ -97,7 +97,7 @@ fn put_get_storm_replays_bit_identically() {
     assert_replay_matches(&out, &sink);
 }
 
-/// VM children under the default inline dispatch: the replay
+/// VM children, run inline on the waiting parent: the replay
 /// reproduces exact instruction counts, VM cache counters, and
 /// vclock charges without interpreting a single instruction.
 #[test]
@@ -151,48 +151,6 @@ fn inline_vm_children_replay_bit_identically() {
     assert!(out.exit.is_ok());
     assert!(out.stats.vm_instructions > 0, "VM children really ran");
     assert!(out.stats.vm_inline_runs > 0, "inline dispatch exercised");
-    assert_replay_matches(&out, &sink);
-}
-
-/// Threaded VM dispatch records and replays too — and its replayed
-/// stats keep the vehicle-observability counters (threads spawned, no
-/// inline runs) that distinguish it from inline mode.
-#[test]
-fn threaded_vm_children_replay_bit_identically() {
-    let image = det_vm::assemble(
-        "
-        ldi r1, 7
-        li  r5, 0x2000
-        std r1, [r5+0]
-        halt
-        ",
-    )
-    .unwrap();
-    let sink = TraceSink::new();
-    let cfg = KernelConfig::builder()
-        .vm_dispatch(VmDispatch::Threaded)
-        .trace(sink.clone())
-        .build();
-    let out = Kernel::new(cfg).run(move |ctx| {
-        ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
-        ctx.mem_mut().write(0, &image.bytes)?;
-        ctx.put(
-            0,
-            PutSpec::new()
-                .program(Program::Vm)
-                .copy(CopySpec::mirror(Region::new(0, 0x3000)))
-                .regs(Regs::at_entry(0))
-                .snap()
-                .start(),
-        )?;
-        let r = ctx.get(0, GetSpec::new().merge(Region::new(0x2000, 0x3000)))?;
-        assert_eq!(r.stop, StopReason::Halted);
-        assert_eq!(ctx.mem().read_u64(0x2000)?, 7);
-        Ok(0)
-    });
-    assert_eq!(out.exit, Ok(0));
-    assert!(out.stats.threads_spawned > 0, "threaded dispatch spawns");
-    assert_eq!(out.stats.vm_inline_runs, 0);
     assert_replay_matches(&out, &sink);
 }
 

@@ -122,7 +122,7 @@ impl Md5Config {
 
 /// Runs the md5 search under an arbitrary kernel configuration and
 /// returns the raw outcome (the conformance harness's entry point —
-/// it supplies trace sinks and dispatch modes through `kcfg`).
+/// it supplies trace sinks and fault plans through `kcfg`).
 pub fn outcome(kcfg: KernelConfig, cfg: Md5Config) -> RunOutcome {
     let digest = md5(&candidate(cfg.target));
     let threads = cfg.threads as u64;

@@ -11,12 +11,10 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("quickstart_swap").expect("registered scenario");
     let run = (sc.run)(&ScenarioConfig {
-        dispatch: VmDispatch::default(),
         trace: false,
         faults: determinator::kernel::FaultPlan::default(),
     });

@@ -12,13 +12,11 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("shell_pipeline").expect("registered scenario");
     let run = || {
         (sc.run)(&ScenarioConfig {
-            dispatch: VmDispatch::default(),
             trace: false,
             faults: determinator::kernel::FaultPlan::default(),
         })

@@ -5,19 +5,17 @@
 //!
 //! The guest and its quantum-by-quantum audit live in the conformance
 //! registry as the `vm_sandbox` scenario (`det_conform::scenario`);
-//! the harness replays it as N replicas in both VM dispatch modes.
+//! the harness replays it as N replicas.
 //!
 //! ```sh
 //! cargo run --release --example vm_sandbox
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("vm_sandbox").expect("registered scenario");
     let run = (sc.run)(&ScenarioConfig {
-        dispatch: VmDispatch::default(),
         trace: false,
         faults: determinator::kernel::FaultPlan::default(),
     });

@@ -110,7 +110,6 @@ pub mod prelude {
         CopySpec, CostModel, DeviceId, GetResult, GetSpec, IoMode, Kernel, KernelConfig,
         KernelConfigBuilder, KernelError, KernelStats, Program, PutResult, PutSpec, ReplayOutcome,
         RunOutcome, SpaceCtx, StartSpec, StopReason, Trace, TraceMeta, TraceSink, TrapKind,
-        VmDispatch,
     };
     pub use det_memory::{ConflictPolicy, Perm, Region};
 }
@@ -141,9 +140,9 @@ pub mod kernel {
         KernelConfigBuilder, KernelError, KernelStats, MergeStatsSerde, NODE_SHIFT, NativeEntry,
         NativeResult, Program, ProgramKind, PutRec, PutResult, PutSpec, ReplayOutcome,
         RestoredKernel, Result, RunOutcome, SpaceArtifact, SpaceCtx, SpaceId, StartSpec,
-        StopReason, Trace, TraceEvent, TraceMeta, TraceSink, TrapKind, VmCounters, VmDispatch,
-        child_index, child_on_node, full_user_region, latest_restorable_boundary, node_field,
-        ns_to_ps, ps_to_ns, restore_chain,
+        StopReason, Trace, TraceEvent, TraceMeta, TraceSink, TrapKind, VmCounters, child_index,
+        child_on_node, full_user_region, latest_restorable_boundary, node_field, ns_to_ps,
+        ps_to_ns, restore_chain,
     };
     // Substrate types the kernel API surfaces directly.
     pub use det_memory::{
@@ -189,7 +188,7 @@ pub mod analyze {
 pub mod conform {
     pub use det_conform::{
         Artifacts, ChaosLoad, ConformConfig, Divergence, DivergenceCategory, Scenario,
-        ScenarioConfig, ScenarioReport, ScenarioRun, Scope, compare, conform_all, conform_scenario,
-        cross_dispatch_check, find, first_diff, hex_context, registry,
+        ScenarioConfig, ScenarioReport, ScenarioRun, compare, conform_all, conform_scenario, find,
+        first_diff, hex_context, registry,
     };
 }

@@ -4,19 +4,17 @@
 //! at the exact first divergent byte.
 
 use determinator::conform::{
-    Artifacts, ConformConfig, DivergenceCategory, Scope, compare, conform_scenario, find,
-    first_diff, registry,
+    Artifacts, ConformConfig, DivergenceCategory, compare, conform_scenario, find, first_diff,
+    registry,
 };
-use determinator::prelude::VmDispatch;
 
-fn artifacts(name: &str, dispatch: VmDispatch) -> Artifacts {
+fn artifacts(name: &str) -> Artifacts {
     let sc = find(name).expect("registered scenario");
     let run = (sc.run)(&determinator::conform::ScenarioConfig {
-        dispatch,
         trace: sc.traceable,
         faults: determinator::kernel::FaultPlan::default(),
     });
-    Artifacts::collect(sc.name, dispatch, &run)
+    Artifacts::collect(sc.name, &run)
 }
 
 /// Every registered scenario is named and runnable; the registry is
@@ -47,7 +45,7 @@ fn registry_covers_examples_and_workloads() {
 
 /// N=3 replica conformance under chaos for a cross-section of
 /// scenario kinds (native fork/join, VM guests, process tree,
-/// workload) in both dispatch modes.
+/// workload).
 #[test]
 fn replica_conformance_under_chaos() {
     let cfg = ConformConfig {
@@ -56,11 +54,8 @@ fn replica_conformance_under_chaos() {
         ..ConformConfig::default()
     };
     for name in ["actors_grid", "vm_sandbox", "parallel_make", "wl_qsort"] {
-        let sc = find(name).expect("registered");
-        for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-            let r = conform_scenario(&sc, dispatch, &cfg);
-            assert!(r.conforms(), "{}", r.report());
-        }
+        let r = conform_scenario(&find(name).expect("registered"), &cfg);
+        assert!(r.conforms(), "{}", r.report());
     }
 }
 
@@ -69,14 +64,14 @@ fn replica_conformance_under_chaos() {
 /// divergent byte offset, with hex context from both replicas.
 #[test]
 fn page_corruption_report_names_category_and_offset() {
-    let a = artifacts("actors_grid", VmDispatch::Inline);
+    let a = artifacts("actors_grid");
     let mut b = a.clone();
     assert!(b.corrupt_page_digest());
-    let d = compare(&a, &b, Scope::Full).expect("diverges");
+    let d = compare(&a, &b).expect("diverges");
     assert_eq!(d.category, DivergenceCategory::PageContent);
 
     // Independent offset check straight from the serialized bytes.
-    let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+    let (ba, bb) = (a.to_bytes(), b.to_bytes());
     assert_ne!(ba, bb);
     assert_eq!(d.offset, first_diff(&ba, &bb));
     assert_eq!(ba[..d.offset], bb[..d.offset]);
@@ -92,22 +87,20 @@ fn page_corruption_report_names_category_and_offset() {
 }
 
 /// Acceptance: a seeded 1-event trace reorder is classified as a
-/// schedule/trace divergence with the exact offset — and is invisible
-/// to the cross-dispatch scope, which excludes the trace section.
+/// schedule/trace divergence with the exact offset.
 #[test]
 fn trace_reorder_report_names_category_and_offset() {
-    let a = artifacts("vm_counter_stream", VmDispatch::Inline);
+    let a = artifacts("vm_counter_stream");
     let mut b = a.clone();
     assert!(b.reorder_trace());
-    let d = compare(&a, &b, Scope::Full).expect("diverges");
+    let d = compare(&a, &b).expect("diverges");
     assert_eq!(d.category, DivergenceCategory::ScheduleTrace);
 
-    let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+    let (ba, bb) = (a.to_bytes(), b.to_bytes());
     assert_eq!(d.offset, first_diff(&ba, &bb));
 
     let report = d.report("vm_counter_stream", "replica 0", "replica 1");
     assert!(report.contains("schedule-trace"), "{report}");
-    assert!(compare(&a, &b, Scope::CrossDispatch).is_none());
 }
 
 /// The canonical byte encoding is stable across serializations of the
@@ -115,11 +108,11 @@ fn trace_reorder_report_names_category_and_offset() {
 /// the outcome surface).
 #[test]
 fn bundle_serialization_is_deterministic() {
-    let a = artifacts("shell_pipeline", VmDispatch::Threaded);
-    assert_eq!(a.to_bytes(Scope::Full), a.to_bytes(Scope::Full));
-    let b = artifacts("shell_pipeline", VmDispatch::Threaded);
+    let a = artifacts("shell_pipeline");
+    assert_eq!(a.to_bytes(), a.to_bytes());
+    let b = artifacts("shell_pipeline");
     assert!(
-        compare(&a, &b, Scope::Full).is_none(),
+        compare(&a, &b).is_none(),
         "re-running the scenario must reproduce identical bytes"
     );
 }

@@ -337,8 +337,7 @@ fn sharded_workloads_invariant_across_shard_counts_under_chaos() {
 
 /// The migration storm (nested det-vm children inside every migrated
 /// job kernel) repeats bit-identically across shard counts and
-/// reruns — dispatch vehicles and shard placement must leave no
-/// deterministic trace.
+/// reruns — shard placement must leave no deterministic trace.
 #[test]
 fn sharded_migration_storm_repeats_and_shard_invariant() {
     use determinator::workloads::sharded::{ShardedConfig, migration_storm};
